@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from katona import family_from_json, katona
 from katona.cli import run
@@ -129,6 +130,28 @@ def test_search_and_recheck_round_trip(tmp_path, capsys):
     cert.write_text(json.dumps(obj))
     assert run(["recheck", "--input", str(cert),
                 "-o", str(tmp_path / "r2.json")]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("objective,flags", [
+    ("max-union-size", ["--n", "5", "--u", "3"]),
+    ("max-diameter-size", ["--n", "5", "--u", "2"]),
+    ("overflow-even", ["--n", "6", "--d", "1"]),
+    ("overflow-odd", ["--n", "5", "--d", "1"]),
+    ("upper-layers", ["--n", "6", "--u", "4"]),
+    ("diversity", ["--n", "7", "--k", "2"]),
+    ("diametral-overflow", ["--n", "4", "--u", "2"]),
+])
+def test_search_recheck_every_objective(tmp_path, capsys, objective, flags):
+    cert = tmp_path / "cert.json"
+    assert run(["search", "--objective", objective, *flags, "-o", str(cert)]) == 0
+    obj = json.loads(cert.read_text())
+    assert obj["objective"] == objective.replace("-", "_") and obj["proven_optimal"]
+    assert run(["recheck", "--input", str(cert), "-o", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text()) == {"recheck": True}
+    obj["optimum"] = str(int(obj["optimum"]) + 1)
+    cert.write_text(json.dumps(obj))
+    assert run(["recheck", "--input", str(cert), "-o", str(tmp_path / "r.json")]) == 1
     capsys.readouterr()
 
 

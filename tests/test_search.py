@@ -144,6 +144,38 @@ def test_diametral_search_small():
     assert recheck(restricted)
 
 
+# restricted runs of the objectives that default to the exhaustive engine: the
+# layered engine's bound and leaf value for them are pinned exactly
+RESTRICTED_PINS = [
+    ("overflow_odd", {"n": 5, "d": 1}, 2, 1,
+     [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]),
+    ("overflow_odd", {"n": 7, "d": 2}, 10, 1,
+     [[], [1], [2], [3], [4], [5], [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4],
+      [1, 5], [2, 5], [3, 5], [4, 5], [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
+      [1, 2, 5], [1, 3, 5], [2, 3, 5], [1, 4, 5], [2, 4, 5], [3, 4, 5],
+      [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5], [1, 3, 4, 5], [2, 3, 4, 5],
+      [1, 2, 3, 4, 5]]),
+    ("diversity", {"n": 7, "k": 2}, 1, 1, [[1, 2], [1, 3], [2, 3]]),
+    ("diversity", {"n": 7, "k": 3}, 4, 2,
+     [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5],
+      [1, 4, 5], [2, 4, 5], [3, 4, 5]]),
+    ("diametral_overflow", {"n": 5, "u": 2}, 1, 1, [[], [1], [2], [1, 2]]),
+    ("diametral_overflow", {"n": 6, "u": 3}, 2, 1,
+     [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]),
+]
+
+
+@pytest.mark.parametrize("objective,params,optimum,maximizers,witness",
+                         RESTRICTED_PINS)
+def test_restricted_results_pinned(objective, params, optimum, maximizers, witness):
+    cert = maximize(objective, params,
+                    SearchOptions(restrict_to_initial_complexes=True))
+    assert cert.optimum == optimum and cert.maximizers == maximizers
+    assert cert.witness == family_from_sets(params["n"], witness)
+    assert not cert.proven_optimal and not cert.timed_out
+    assert recheck(cert)
+
+
 # -- engine agreement and determinism ------------------------------------------------
 
 AGREEMENT_CASES = [
@@ -186,12 +218,17 @@ def test_worker_determinism():
 
 
 def test_pruning_does_not_change_results():
+    on = SearchOptions(restrict_to_initial_complexes=True)
+    off = SearchOptions(restrict_to_initial_complexes=True, use_pruning=False)
     for objective, params in (
             ("max_union_size", {"n": 5, "u": 3}),
             ("overflow_even", {"n": 6, "d": 1}),
-            ("upper_layers", {"n": 6, "u": 4})):
-        pruned = maximize(objective, params)
-        free = maximize(objective, params, SearchOptions(use_pruning=False))
+            ("upper_layers", {"n": 6, "u": 4}),
+            ("overflow_odd", {"n": 7, "d": 2}),
+            ("diversity", {"n": 7, "k": 3}),
+            ("diametral_overflow", {"n": 6, "u": 3})):
+        pruned = maximize(objective, params, on)
+        free = maximize(objective, params, off)
         assert pruned.optimum == free.optimum
         assert pruned.maximizers == free.maximizers
         assert pruned.witness == free.witness
