@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import bounds, constructions, search, transforms
 from .core import (
@@ -56,51 +57,44 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-_FAMILY_PARAMS = {
-    "katona": ("n", "u"), "katona-star": ("n", "u"), "katona-x": ("n", "u", "x"),
-    "full-star": ("n", "k", "t"), "hilton-milner": ("n", "k"),
-    "triangle": ("n", "k"), "b-family": ("n", "d"), "d-even": ("n", "d"),
-    "d-2r": ("n", "r"), "d-odd5": ("n", "r"), "g-family": ("n", "d"),
-    "ball": ("n", "u"), "lex-segment": ("n", "k", "m"),
-}
+# flags whose text names a family file or a fraction, or lists elements
+_FLAG_READERS = {"input": _read_family, "input2": _read_family, "c": Fraction,
+                 "center": _parse_ints}
+
+
+def _flags(args, names, what: str) -> list:
+    """The values of the flags `names`, in order; a missing one is a usage error."""
+    values = []
+    for name in names:
+        v = getattr(args, name)
+        if v is None:
+            raise ValueError(f"{what} needs --{name}")
+        values.append(_FLAG_READERS[name](v) if name in _FLAG_READERS else v)
+    return values
 
 
 def _cmd_construct(args) -> int:
-    name = args.family
-    if name not in _FAMILY_PARAMS:
-        raise ValueError(f"unknown family {name!r}")
-    params = {}
-    for p in _FAMILY_PARAMS[name]:
-        v = getattr(args, p)
-        if v is None:
-            raise ValueError(f"family {name} needs --{p}")
-        params[p] = v
-    center = _parse_ints(args.center) if args.center else ()
-    spec = constructions.ConstructionSpec(
-        name.replace("-", "_"), params, center)
-    fam = constructions.construct(spec)
+    fn, names = constructions.CONSTRUCTIONS[args.family.replace("-", "_")]
+    fam = fn(*_flags(args, names, f"family {args.family}"))
     _emit(family_to_json_dict(fam, args.form), args)
     return 0
 
 
+# predicate -> (function of the --input family and the flags, those flags)
+_PREDICATES = {
+    "t-intersecting": (is_t_intersecting, ("t",)),
+    "u-union": (is_u_union, ("u",)),
+    "cross-t-intersecting": (is_cross_t_intersecting, ("input2", "t")),
+    "complex": (is_complex, ()),
+    "initial": (transforms.is_initial, ()),
+}
+
+
 def _cmd_check(args) -> int:
-    fam = _read_family(args.input)
-    pred = args.pred
-    if pred == "t-intersecting":
-        holds = is_t_intersecting(fam, args.t)
-    elif pred == "u-union":
-        holds = is_u_union(fam, args.u)
-    elif pred == "cross-t-intersecting":
-        if not args.input2:
-            raise ValueError("cross-t-intersecting needs --input2")
-        holds = is_cross_t_intersecting(fam, _read_family(args.input2), args.t)
-    elif pred == "complex":
-        holds = is_complex(fam)
-    elif pred == "initial":
-        holds = transforms.is_initial(fam)
-    else:
-        raise ValueError(f"unknown predicate {pred!r}")
-    _emit({"pred": pred, "holds": holds}, args)
+    pred, names = _PREDICATES[args.pred]
+    values = _flags(args, names, f"check {args.pred}")
+    holds = pred(_read_family(args.input), *values)
+    _emit({"pred": args.pred, "holds": holds}, args)
     return 0 if holds else 1
 
 
@@ -158,88 +152,45 @@ def _cmd_walks(args) -> int:
     raise ValueError(f"unknown walks mode {args.mode!r}")
 
 
-def _cmd_bound(args) -> int:
-    name = args.name
-    if name == "binom":
-        _emit({"name": name, "value": str(bounds.binom(args.n, args.k))}, args)
-        return 0
-    if name == "katona":
-        _emit({"name": name, "value": str(bounds.katona_bound(args.n, args.u))}, args)
-        return 0
-    if name == "ekr":
-        _emit({"name": name,
-               "value": str(bounds.ekr_bound(args.n, args.k, args.t))}, args)
-        return 0
-    if name == "hm":
-        _emit({"name": name, "value": str(bounds.hm_bound(args.n, args.k))}, args)
-        return 0
-    if name == "walk-gap":
-        _emit({"name": name,
-               "value": str(bounds.walk_gap_bound(args.n, args.k, args.p))}, args)
-        return 0
-    if name == "walk-skip":
-        _emit({"name": name,
-               "value": str(bounds.walk_skip_bound(args.n, args.k, args.p))}, args)
-        return 0
-    if name == "d-even-overflow":
-        _emit({"name": name,
-               "value": str(bounds.d_even_overflow(args.n, args.d))}, args)
-        return 0
-    if name == "d-even-gap":
-        _emit({"name": name, "value": str(bounds.d_even_gap(args.n, args.d))}, args)
-        return 0
-    if name == "d2r-gap":
-        _emit({"name": name, "value": str(bounds.d2r_gap(args.n, args.r))}, args)
-        return 0
-    if name == "quintic":
-        sign = bounds.crossover_quintic(Fraction(args.c))
-        _emit({"name": name, "sign": sign}, args)
-        return 0
-    report = None
-    if name == "overflow":
-        report = bounds.overflow_bound(args.n, args.u)
-    elif name == "upper-layer":
-        report = bounds.upper_layer_bound(args.n, args.u)
-    elif name == "diversity":
-        report = bounds.diversity_formula(args.n, args.k)
-    elif name == "layer-refined":
-        report = bounds.layer_bound_refined(args.n, args.t, args.ell)
-    elif name == "key-ratio":
-        report = bounds.key_ratio_holds(args.n, args.r, args.a, args.b)
-    elif name == "sperner-cross":
-        report = bounds.sperner_cross_check(
-            _read_family(args.input), _read_family(args.input2))
-    elif name == "shadow":
-        report = bounds.shadow_bound_check(_read_family(args.input), args.ell)
-    else:
-        raise ValueError(f"unknown bound {name!r}")
-    _emit(report.to_json_dict(), args)
-    if report.holds is False:
-        return 1
-    return 0
-
-
-_OBJECTIVE_FLAGS = {
-    "max-union-size": ("max_union_size", ("n", "u")),
-    "max-diameter-size": ("max_diameter_size", ("n", "u")),
-    "overflow-even": ("overflow_even", ("n", "d")),
-    "overflow-odd": ("overflow_odd", ("n", "d")),
-    "upper-layers": ("upper_layers", ("n", "u")),
-    "diversity": ("diversity", ("n", "k")),
-    "diametral-overflow": ("diametral_overflow", ("n", "u")),
+# bound -> (function, flags in call order)
+_BOUNDS = {
+    "binom": (bounds.binom, ("n", "k")),
+    "katona": (bounds.katona_bound, ("n", "u")),
+    "ekr": (bounds.ekr_bound, ("n", "k", "t")),
+    "hm": (bounds.hm_bound, ("n", "k")),
+    "walk-gap": (bounds.walk_gap_bound, ("n", "k", "p")),
+    "walk-skip": (bounds.walk_skip_bound, ("n", "k", "p")),
+    "d-even-overflow": (bounds.d_even_overflow, ("n", "d")),
+    "d-even-gap": (bounds.d_even_gap, ("n", "d")),
+    "d2r-gap": (bounds.d2r_gap, ("n", "r")),
+    "quintic": (bounds.crossover_quintic, ("c",)),
+    "overflow": (bounds.overflow_bound, ("n", "u")),
+    "upper-layer": (bounds.upper_layer_bound, ("n", "u")),
+    "diversity": (bounds.diversity_formula, ("n", "k")),
+    "layer-refined": (bounds.layer_bound_refined, ("n", "t", "ell")),
+    "key-ratio": (bounds.key_ratio_holds, ("n", "r", "a", "b")),
+    "sperner-cross": (bounds.sperner_cross_check, ("input", "input2")),
+    "shadow": (bounds.shadow_bound_check, ("input", "ell")),
 }
 
 
+def _cmd_bound(args) -> int:
+    fn, names = _BOUNDS[args.name]
+    out = fn(*_flags(args, names, f"bound {args.name}"))
+    if isinstance(out, bounds.BoundReport):
+        _emit(out.to_json_dict(), args)
+        return 1 if out.holds is False else 0
+    # integer bounds are exact counts, emitted as decimal strings; the
+    # quintic's value is a sign
+    value = {"sign": out} if args.name == "quintic" else {"value": str(out)}
+    _emit({"name": args.name, **value}, args)
+    return 0
+
+
 def _cmd_search(args) -> int:
-    if args.objective not in _OBJECTIVE_FLAGS:
-        raise ValueError(f"unknown objective {args.objective!r}")
-    objective, wanted = _OBJECTIVE_FLAGS[args.objective]
-    params = {}
-    for p in wanted:
-        v = getattr(args, p)
-        if v is None:
-            raise ValueError(f"objective {args.objective} needs --{p}")
-        params[p] = v
+    objective = args.objective.replace("-", "_")
+    names = search.OBJECTIVES[objective].params
+    params = dict(zip(names, _flags(args, names, f"objective {args.objective}")))
     restrict = {"auto": None, "yes": True, "no": False}[args.initial_complexes]
     options = search.SearchOptions(
         time_limit=args.time_limit, workers=args.workers,
@@ -349,8 +300,8 @@ def _suite_sperner() -> list[str]:
         b = rng.randrange(1, n - a)
         fam_a: list[int] = []
         fam_b: list[int] = []
-        pool_a = [mask_of(c) for c in _combos(n, a)]
-        pool_b = [mask_of(c) for c in _combos(n, b)]
+        pool_a = [mask_of(c) for c in combinations(range(1, n + 1), a)]
+        pool_b = [mask_of(c) for c in combinations(range(1, n + 1), b)]
         rng.shuffle(pool_a)
         rng.shuffle(pool_b)
         for m in pool_a[:rng.randrange(1, 6)]:
@@ -366,17 +317,12 @@ def _suite_sperner() -> list[str]:
             failures.append(f"cross ratio bound violated at n={n},a={a},b={b}")
         k = rng.randrange(2, n)
         fam = SetFamily.from_masks(
-            n, rng.sample([mask_of(c) for c in _combos(n, k)],
+            n, rng.sample([mask_of(c) for c in combinations(range(1, n + 1), k)],
                           rng.randrange(1, bounds.binom(n, k) + 1)))
         rep = bounds.shadow_bound_check(fam, rng.randrange(0, k))
         if not rep.holds:
             failures.append(f"shadow ratio bound violated at n={n},k={k}")
     return failures
-
-
-def _combos(n, k):
-    from itertools import combinations
-    return combinations(range(1, n + 1), k)
 
 
 def _suite_reflection() -> list[str]:
@@ -440,7 +386,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("construct", help="materialize a named family")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
+    p.add_argument("--family", required=True, choices=sorted(
+        name.replace("_", "-") for name in constructions.CONSTRUCTIONS))
     for flag in ("n", "u", "k", "t", "d", "r", "x", "m"):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--center", default="", help="comma-separated elements (ball)")
@@ -448,8 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("check", help="evaluate a predicate on a family file")
-    p.add_argument("--pred", required=True, choices=(
-        "t-intersecting", "u-union", "cross-t-intersecting", "complex", "initial"))
+    p.add_argument("--pred", required=True, choices=tuple(_PREDICATES))
     p.add_argument("--input", required=True)
     p.add_argument("--input2")
     p.add_argument("--t", type=int)
@@ -484,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("bound", help="evaluate a named bound")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, choices=tuple(_BOUNDS))
     for flag in ("n", "u", "k", "t", "d", "r", "p", "a", "b", "ell"):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--c", help="rational like 11/10 (quintic)")
@@ -493,7 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("search", help="run an exact maximizer, emit a certificate")
-    p.add_argument("--objective", required=True, choices=sorted(_OBJECTIVE_FLAGS))
+    p.add_argument("--objective", required=True, choices=sorted(
+        name.replace("_", "-") for name in search.OBJECTIVES))
     for flag in ("n", "u", "k", "d"):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--time-limit", type=float)

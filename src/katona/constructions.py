@@ -13,13 +13,6 @@ from math import comb
 
 from .core import SetFamily, mask_of, elements_of, _check_ground
 
-CONSTRUCTION_NAMES = (
-    "katona", "katona_star", "katona_x", "full_star", "hilton_milner",
-    "triangle", "b_family", "d_even", "d_2r", "d_odd5", "g_family",
-    "ball", "lex_segment",
-)
-
-
 @dataclass(frozen=True)
 class ConstructionSpec:
     """Name plus integer parameters; `center` is only used by `ball`."""
@@ -210,34 +203,32 @@ def lex_rank(n: int, k: int, mask: int) -> int:
     return rank
 
 
+# name -> (function, its parameters in call order); `center` is the spec's
+# center, every other parameter an integer from the spec's params
+CONSTRUCTIONS = {
+    "katona": (katona, ("n", "u")),
+    "katona_star": (katona_star, ("n", "u")),
+    "katona_x": (katona_x, ("n", "u", "x")),
+    "full_star": (full_star, ("n", "k", "t")),
+    "hilton_milner": (hilton_milner, ("n", "k")),
+    "triangle": (triangle, ("n", "k")),
+    "b_family": (b_family, ("n", "d")),
+    "d_even": (d_even, ("n", "d")),
+    "d_2r": (d_2r, ("n", "r")),
+    "d_odd5": (d_odd5, ("n", "r")),
+    "g_family": (g_family, ("n", "d")),
+    "ball": (ball, ("n", "center", "u")),
+    "lex_segment": (lex_segment, ("n", "k", "m")),
+}
+
+
 def construct(spec: ConstructionSpec) -> SetFamily:
     """Materialize a ConstructionSpec; parameter validation is per family."""
-    name = spec.name
-    p = spec.params
-    if name == "katona":
-        return katona(p["n"], p["u"])
-    if name == "katona_star":
-        return katona_star(p["n"], p["u"])
-    if name == "katona_x":
-        return katona_x(p["n"], p["u"], p["x"])
-    if name == "full_star":
-        return full_star(p["n"], p["k"], p["t"])
-    if name == "hilton_milner":
-        return hilton_milner(p["n"], p["k"])
-    if name == "triangle":
-        return triangle(p["n"], p["k"])
-    if name == "b_family":
-        return b_family(p["n"], p["d"])
-    if name == "d_even":
-        return d_even(p["n"], p["d"])
-    if name == "d_2r":
-        return d_2r(p["n"], p["r"])
-    if name == "d_odd5":
-        return d_odd5(p["n"], p["r"])
-    if name == "g_family":
-        return g_family(p["n"], p["d"])
-    if name == "ball":
-        return ball(p["n"], spec.center, p["u"])
-    if name == "lex_segment":
-        return lex_segment(p["n"], p["k"], p["m"])
-    raise ValueError(f"unknown construction {name!r}")
+    if spec.name not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {spec.name!r}")
+    fn, names = CONSTRUCTIONS[spec.name]
+    args = {**spec.params, "center": spec.center}
+    missing = [p for p in names if p not in args]
+    if missing:
+        raise ValueError(f"construction {spec.name} needs {', '.join(missing)}")
+    return fn(*(args[p] for p in names))

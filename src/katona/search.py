@@ -1,5 +1,14 @@
 """Certificate-producing exact maximizers for the extremal quantities.
 
+Each objective is defined in one place: its `Objective` record in
+`OBJECTIVES`.  The record names the parameters (which the CLI turns into
+required flags), the pairwise relation its families satisfy, whether it is
+shift-invariant, the member sizes it counts, its seed constructions and its
+value function.  `maximize`, `recheck`, both engines and the CLI read the
+records and nothing else.  Each quantity (overflow, odd overflow, min-anchor
+avoidance, diametral overflow) has one evaluator on mask lists, shared by
+the engines, the seeds, `recheck` and the public `*_of` functions.
+
 Two engines back `maximize`:
 
 * A layered branch-and-bound over initial complexes.  Shifting preserves
@@ -33,32 +42,81 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Callable, Sequence
 
 from .core import (
-    CapExceeded, SEARCH_CAP, SetFamily, at_least, diameter,
-    family_from_json_dict, family_to_json_dict, is_t_intersecting, is_u_union,
-    mask_of,
+    CapExceeded, SEARCH_CAP, SetFamily, diameter, family_from_json_dict,
+    family_to_json_dict, is_t_intersecting, is_u_union, mask_of,
 )
 from .bounds import BoundReport, walk_gap_bound, walk_skip_bound
 from . import constructions as cons
-
-OBJECTIVES = (
-    "max_union_size", "max_diameter_size", "overflow_even", "overflow_odd",
-    "upper_layers", "diversity", "diametral_overflow",
-)
 
 DIAMETRAL_CENTER_CAP = 20
 _EXHAUSTIVE_POOL_CAP = 600
 
 
 # ---------------------------------------------------------------------------
-# direct evaluators (also the recheck path)
+# evaluators on mask lists: the one implementation of each quantity
+
+def _count_from(masks: Sequence[int], low: int) -> int:
+    """Members of size at least low."""
+    return sum(1 for m in masks if m.bit_count() >= low)
+
+
+def _avoidance(n: int, masks: Sequence[int]) -> tuple[int, int | None]:
+    """min over anchors x in [n] of the members avoiding x, with the smallest
+    minimizing x; that is the member count minus the largest degree."""
+    if n == 0:
+        return len(masks), None
+    degree = [0] * n
+    for m in masks:
+        while m:
+            low = m & -m
+            degree[low.bit_length() - 1] += 1
+            m ^= low
+    top = max(degree)
+    return len(masks) - top, degree.index(top) + 1
+
+
+def _odd_overflow(n: int, d: int, masks: Sequence[int]) -> tuple[int, int | None]:
+    """min over anchors x of the members M with |M \\ {x}| > d, with the
+    smallest minimizing x.  Members above size d + 1 count for every x;
+    members of size d + 1 count exactly when they avoid x."""
+    avoiding, x = _avoidance(n, [m for m in masks if m.bit_count() == d + 1])
+    return _count_from(masks, d + 2) + avoiding, x
+
+
+def _diametral(n: int, u: int, masks: Sequence[int]) -> tuple[int, int]:
+    """min over centers A of the members outside the ball (even u) or double
+    ball (odd u) of radius u // 2 around A, with the smallest minimizing A.
+
+    The double ball ignores element 1, so the centers A and A ^ {1} give the
+    same count and only centers without 1 are tried.  A center's count stops
+    once it reaches the best so far, and the scan stops at 0.
+    """
+    d, odd = u // 2, u % 2
+    if odd:
+        masks = [m & ~1 for m in masks]
+    best, best_center = len(masks) + 1, 0
+    for center in range(0, 1 << n, 1 + odd):
+        v = 0
+        for m in masks:
+            if (m ^ center).bit_count() > d:
+                v += 1
+                if v >= best:
+                    break
+        else:
+            best, best_center = v, center
+            if v == 0:
+                break
+    return best, best_center
+
 
 def overflow_even_of(fam: SetFamily, d: int) -> int:
     """Members of size above d, i.e. outside the even Katona family."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    return sum(1 for m in fam.members if m.bit_count() > d)
+    return _count_from(fam.members, d + 1)
 
 
 def overflow_odd_of(fam: SetFamily, d: int) -> tuple[int, int | None]:
@@ -66,23 +124,7 @@ def overflow_odd_of(fam: SetFamily, d: int) -> tuple[int, int | None]:
     together with the smallest minimizing x."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if fam.n == 0:
-        return len([m for m in fam.members if m.bit_count() > d]), None
-    best_val = None
-    best_x = None
-    for x in range(1, fam.n + 1):
-        keep = ~(1 << (x - 1))
-        v = sum(1 for m in fam.members if (m & keep).bit_count() > d)
-        if best_val is None or v < best_val:
-            best_val, best_x = v, x
-    return best_val, best_x
-
-
-def _in_ball(mask: int, center: int, u: int) -> bool:
-    d = u // 2
-    if u % 2 == 0:
-        return (mask ^ center).bit_count() <= d
-    return ((mask ^ center) & ~1).bit_count() <= d
+    return _odd_overflow(fam.n, d, fam.members)
 
 
 def diametral_overflow(fam: SetFamily, u: int) -> tuple[int, int]:
@@ -93,15 +135,7 @@ def diametral_overflow(fam: SetFamily, u: int) -> tuple[int, int]:
     if fam.n > DIAMETRAL_CENTER_CAP:
         raise CapExceeded(
             f"center enumeration needs n <= {DIAMETRAL_CENTER_CAP}, got {fam.n}")
-    best_val = None
-    best_center = 0
-    for center in range(1 << fam.n):
-        v = sum(1 for m in fam.members if not _in_ball(m, center, u))
-        if best_val is None or v < best_val:
-            best_val, best_center = v, center
-        if best_val == 0:
-            break
-    return (best_val or 0), best_center
+    return _diametral(fam.n, u, fam.members)
 
 
 def katona_overflow_of(fam: SetFamily, u: int) -> int:
@@ -114,10 +148,164 @@ def katona_overflow_of(fam: SetFamily, u: int) -> int:
     """
     if u < 1:
         raise ValueError(f"need u >= 1, got {u}")
-    d = u // 2
-    if u % 2 == 0:
-        return sum(1 for m in fam.members if m.bit_count() > d)
-    return sum(1 for m in fam.members if (m & ~1).bit_count() > d)
+    masks = [m & ~1 for m in fam.members] if u % 2 else fam.members
+    return _count_from(masks, u // 2 + 1)
+
+
+# ---------------------------------------------------------------------------
+# the objective registry
+
+@dataclass(frozen=True)
+class _Instance:
+    """A validated objective instance, as both engines and recheck see it."""
+
+    n: int
+    u: int | None                      # None only for intersecting families
+    levels: tuple[int, ...]            # the layered engine's constrained levels
+
+    @property
+    def d(self) -> int:
+        return self.u // 2
+
+    @property
+    def free_levels(self) -> tuple[int, ...]:
+        """Levels below the constrained ones, completed greedily at a leaf."""
+        return () if self.u is None else tuple(range(self.levels[0]))
+
+
+def _union_instance(n: int, u: int) -> _Instance:
+    if not 0 < u < n:
+        raise ValueError(f"need 0 < u < n, got u={u}, n={n}")
+    return _Instance(n, u, tuple(range(u // 2 + 1, u + 1)))
+
+
+def _overflow_instance(parity: int) -> Callable[[int, int], _Instance]:
+    """Instances of the overflow objectives: u = 2d + parity."""
+    def instance(n: int, d: int) -> _Instance:
+        if d < 1 or n < 2 * d + 2:
+            raise ValueError(f"need d >= 1 and n >= 2d + 2, got n={n}, d={d}")
+        return _union_instance(n, 2 * d + parity)
+    return instance
+
+
+def _intersecting_instance(n: int, k: int) -> _Instance:
+    if k < 1 or n <= 2 * k:
+        raise ValueError(f"need k >= 1 and n > 2k, got n={n}, k={k}")
+    return _Instance(n, None, (k,))
+
+
+@dataclass(frozen=True)
+class _Relation:
+    """What every pair of members of a feasible family satisfies."""
+
+    compatible: Callable[[int, int, int | None], bool]   # masks a, b and u
+    holds: Callable[[_Instance, SetFamily], bool]        # via core, for recheck
+    reduction: str                     # the families the layered engine covers
+
+
+_UNION = _Relation(
+    lambda a, b, u: (a | b).bit_count() <= u,
+    lambda i, fam: is_u_union(fam, i.u), "initial_complex")
+# a complex has diameter <= u exactly when it is u-union, so the layered
+# engine searches down-shift complexes with the union test
+_DIAMETER = _Relation(
+    lambda a, b, u: (a ^ b).bit_count() <= u,
+    lambda i, fam: diameter(fam) <= i.u, "downshift_complex")
+_INTERSECT = _Relation(
+    lambda a, b, u: a & b != 0,
+    lambda i, fam: (all(m.bit_count() == i.levels[0] for m in fam.members)
+                    and (not fam.members or is_t_intersecting(fam, 1))),
+    "initial_complex")
+
+
+@dataclass(frozen=True)
+class Objective:
+    """One search objective; `OBJECTIVES` holds the only definition of each.
+
+    The value of a feasible family never exceeds its number of members of
+    size at least `counted_from` (with equality for the counting
+    objectives); the layered engine bounds with that count.  `sizes` are
+    the member sizes the exhaustive engine enumerates: members of other
+    sizes are infeasible or cannot raise the value.
+    """
+
+    params: tuple[str, ...]            # in the order `instance` takes them
+    instance: Callable[[int, int], _Instance]   # validates the parameters
+    relation: _Relation
+    shift_invariant: bool              # initial complexes are lossless; the default
+    counted_from: Callable[[_Instance], int]
+    sizes: Callable[[_Instance], range | tuple[int, ...]]
+    seeds: Callable[[_Instance], list[SetFamily]]
+    value: Callable[[_Instance, Sequence[int]], int]
+    max_n: int = SEARCH_CAP
+
+
+def _katona_seeds(i: _Instance) -> list[SetFamily]:
+    return [cons.katona(i.n, i.u)]
+
+
+def _size(i: _Instance, masks: Sequence[int]) -> int:
+    return len(masks)
+
+
+def _upper_from(i: _Instance) -> int:
+    """Upper layers start at r, where u = 2r or u = 2r - 1."""
+    return (i.u + 1) // 2
+
+
+OBJECTIVES: dict[str, Objective] = {
+    "max_union_size": Objective(
+        ("n", "u"), _union_instance, _UNION, shift_invariant=True,
+        counted_from=lambda i: 0, sizes=lambda i: range(i.u + 1),
+        seeds=_katona_seeds, value=_size),
+    "max_diameter_size": Objective(
+        ("n", "u"), _union_instance, _DIAMETER, shift_invariant=True,
+        counted_from=lambda i: 0, sizes=lambda i: range(i.n + 1),
+        seeds=_katona_seeds, value=_size),
+    "overflow_even": Objective(
+        ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
+        counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
+        seeds=lambda i: [cons.b_family(i.n, i.d)]
+        + ([cons.d_even(i.n, i.d)] if i.d >= 2 else []),
+        value=lambda i, masks: _count_from(masks, i.d + 1)),
+    "overflow_odd": Objective(
+        ("n", "d"), _overflow_instance(1), _UNION, shift_invariant=False,
+        counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
+        seeds=lambda i: [cons.g_family(i.n, i.d)],
+        value=lambda i, masks: _odd_overflow(i.n, i.d, masks)[0]),
+    "upper_layers": Objective(
+        ("n", "u"), _union_instance, _UNION, shift_invariant=True,
+        counted_from=_upper_from, sizes=lambda i: range(_upper_from(i), i.u + 1),
+        seeds=_katona_seeds,
+        value=lambda i, masks: _count_from(masks, _upper_from(i))),
+    "diversity": Objective(
+        ("n", "k"), _intersecting_instance, _INTERSECT, shift_invariant=False,
+        counted_from=lambda i: i.levels[0], sizes=lambda i: i.levels,
+        seeds=lambda i: [cons.triangle(i.n, i.levels[0])],
+        value=lambda i, masks: _avoidance(i.n, masks)[0]),
+    "diametral_overflow": Objective(
+        ("n", "u"), _union_instance, _DIAMETER, shift_invariant=False,
+        counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.n + 1),
+        seeds=lambda i: ([cons.b_family(i.n, i.d)] if i.u % 2 == 0 else
+                         [cons.g_family(i.n, i.d)] if i.d >= 1 else []),
+        value=lambda i, masks: _diametral(i.n, i.u, masks)[0],
+        max_n=DIAMETRAL_CENTER_CAP),
+}
+
+
+def _objective(name: str) -> Objective:
+    if not isinstance(name, str) or name not in OBJECTIVES:
+        raise ValueError(f"unknown objective {name!r}")
+    return OBJECTIVES[name]
+
+
+def _instance(obj: Objective, params: dict) -> _Instance:
+    n, *rest = (int(params[p]) for p in obj.params)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > obj.max_n:
+        raise CapExceeded(f"search needs n <= {obj.max_n}, got {n}")
+    return obj.instance(n, *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +317,12 @@ class SearchOptions:
     workers: int = 1
     restrict_to_initial_complexes: bool | None = None  # None = per-objective default
     use_pruning: bool = True
+
+    def __post_init__(self):
+        if self.time_limit is not None and self.time_limit < 0:
+            raise ValueError(f"need time_limit >= 0, got {self.time_limit}")
+        if self.workers < 1:
+            raise ValueError(f"need workers >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +354,10 @@ class SearchCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SearchCertificate":
+        _objective(obj["objective"])
+        maximizers = obj.get("maximizers")
+        if maximizers is not None and type(maximizers) is not int:
+            raise ValueError(f"maximizers must be an integer or null, got {maximizers!r}")
         return cls(
             objective=obj["objective"],
             params={k: int(v) for k, v in obj["params"].items()},
@@ -169,7 +367,7 @@ class SearchCertificate:
             reduction_used=obj["reduction"],
             nodes_explored=int(obj["nodes"]),
             elapsed_ms=int(obj["elapsed_ms"]),
-            maximizers=obj.get("maximizers"),
+            maximizers=maximizers,
             timed_out=bool(obj.get("timed_out", False)),
         )
 
@@ -237,20 +435,9 @@ def _shadow_masks(mask: int) -> tuple[int, ...]:
 class _EngineSpec:
     """Everything a worker needs to rebuild the layered search."""
 
-    n: int
-    u: int | None                      # None only for diversity
-    levels: tuple[int, ...]            # constrained levels, ascending
-    counted_levels: tuple[int, ...]
-    free_counted: tuple[int, ...]      # free levels contributing to the value
-    mode: str                          # count | overflow_odd | diversity | diametral
-    d: int = 0                         # overflow_odd anchor parameter
-    diam_u: int = 0                    # diametral objective parameter
+    objective: str                     # key into OBJECTIVES
+    inst: _Instance
     use_pruning: bool = True
-
-    def free_levels(self) -> tuple[int, ...]:
-        if self.mode == "diversity":
-            return ()
-        return tuple(range(0, self.levels[0]))
 
 
 _CANDIDATE_CAP = 20_000
@@ -259,13 +446,16 @@ _CANDIDATE_CAP = 20_000
 class _LayeredDFS:
     def __init__(self, spec: _EngineSpec):
         self.spec = spec
-        n = spec.n
-        self.compat_union = spec.u is not None
+        inst = self.inst = spec.inst
+        obj = OBJECTIVES[spec.objective]
+        self.value = obj.value
+        n = inst.n
+        self.compat_union = inst.u is not None
         self.cands: list[tuple[int, int]] = []
         self.caps0: dict[int, int] = {}
         self.special: dict[int, dict[int, int]] = {}
-        lowest = spec.levels[0]
-        for k in spec.levels:
+        lowest = inst.levels[0]
+        for k in inst.levels:
             t = self._fact_t(k)
             cap = comb(n, k)
             if t >= 1:
@@ -285,27 +475,29 @@ class _LayeredDFS:
         self.shads = [_shadow_masks(m) if k > lowest else None for k, m in self.cands]
         # per-position per-level undecided counts for the optimistic bound
         self.undec = []
-        tail = {k: 0 for k in spec.levels}
+        tail = {k: 0 for k in inst.levels}
         for k, _ in reversed(self.cands):
             tail[k] += 1
             self.undec.append(dict(tail))
         self.undec.reverse()
-        self.undec.append({k: 0 for k in spec.levels})
-        # free sets that count toward the objective, tracked incrementally
+        self.undec.append({k: 0 for k in inst.levels})
+        # free sets that count toward the bound, tracked incrementally
+        low = obj.counted_from(inst)
         self.free_masks = {
             k: [mask_of(c) for c in combinations(range(1, n + 1), k)]
-            for k in spec.free_counted}
+            for k in inst.free_levels if k >= low}
 
     def _fact_t(self, k: int) -> int:
-        if self.spec.mode == "diversity":
+        """Layer k of a u-union family is (2(k - d) - h)-intersecting for
+        u = 2d + h; a uniform intersecting family is 1-intersecting."""
+        u = self.inst.u
+        if u is None:
             return 1
-        u = self.spec.u
-        d, h = u // 2, u % 2
-        return 2 * (k - d) - h
+        return 2 * (k - u // 2) - u % 2
 
     def _compatible(self, a: int, b: int) -> bool:
         if self.compat_union:
-            return (a | b).bit_count() <= self.spec.u
+            return (a | b).bit_count() <= self.inst.u
         return a & b != 0
 
     # -- state management ---------------------------------------------------
@@ -316,7 +508,7 @@ class _LayeredDFS:
         self.best_witness = None   # (canonical_key, masks tuple)
         self.included = set()
         self.incl_all = []
-        self.by_level = {k: [] for k in self.spec.levels}
+        self.by_level = {k: [] for k in self.inst.levels}
         self.caps = dict(self.caps0)
         self.alive = {k: set(v) for k, v in self.free_masks.items()}
         self.nodes = 0
@@ -351,64 +543,33 @@ class _LayeredDFS:
     # -- bounding -----------------------------------------------------------
 
     def _bound(self, pos: int) -> int:
-        spec = self.spec
+        """Every objective's value is at most its counted members: the free
+        ones still compatible plus, per level, the layer cap or what the
+        layer can still reach."""
         undec = self.undec[pos]
-        if spec.mode == "count":
-            b = sum(len(self.alive[k]) for k in spec.free_counted)
-            for k in spec.counted_levels:
-                b += min(self.caps[k], len(self.by_level[k]) + undec[k])
-            return b
-        if spec.mode in ("overflow_odd", "diametral"):
-            return sum(
-                min(self.caps[k], len(self.by_level[k]) + undec[k])
-                for k in spec.levels)
-        # diversity: the min over anchors is at most the family size
-        k = spec.levels[0]
-        return min(self.caps[k], len(self.by_level[k]) + undec[k])
+        b = sum(len(alive) for alive in self.alive.values())
+        for k in self.inst.levels:
+            b += min(self.caps[k], len(self.by_level[k]) + undec[k])
+        return b
 
     # -- leaf evaluation ----------------------------------------------------
 
     def _free_completion(self) -> list[int]:
         """All small sets compatible with every included member."""
         out = []
-        for k in self.spec.free_levels():
+        for k in self.inst.free_levels:
             if k in self.alive:
                 out.extend(self.alive[k])
                 continue
-            for c in combinations(range(1, self.spec.n + 1), k):
+            for c in combinations(range(1, self.inst.n + 1), k):
                 m = mask_of(c)
                 if all(self._compatible(m, im) for im in self.incl_all):
                     out.append(m)
         return out
 
-    def _leaf_value_and_masks(self) -> tuple[int, tuple[int, ...]]:
-        spec = self.spec
-        if spec.mode == "diversity":
-            v = self._min_anchor_avoid(self.by_level[spec.levels[0]])
-            return v, tuple(self.incl_all)
-        masks = tuple(sorted(self.incl_all + self._free_completion()))
-        if spec.mode == "count":
-            v = sum(len(self.by_level[k]) for k in spec.counted_levels)
-            v += sum(len(self.alive[k]) for k in spec.free_counted)
-            return v, masks
-        if spec.mode == "overflow_odd":
-            v = sum(len(self.by_level[k]) for k in spec.levels[1:])
-            v += self._min_anchor_avoid(self.by_level[spec.levels[0]])
-            return v, masks
-        fam = SetFamily.from_masks(spec.n, masks)
-        return diametral_overflow(fam, spec.diam_u)[0], masks
-
-    def _min_anchor_avoid(self, layer_masks: list[int]) -> int:
-        best = None
-        for x in range(self.spec.n):
-            bit = 1 << x
-            v = sum(1 for m in layer_masks if not m & bit)
-            if best is None or v < best:
-                best = v
-        return best if best is not None else 0
-
     def _at_leaf(self):
-        v, masks = self._leaf_value_and_masks()
+        masks = tuple(sorted(self.incl_all + self._free_completion()))
+        v = self.value(self.inst, masks)
         if v < self.best:
             return
         key = tuple(sorted((m.bit_count(), m) for m in masks))
@@ -557,10 +718,12 @@ def _run_layered(spec: _EngineSpec, seed_value: int, seed_masks: tuple[int, ...]
     }
 
 
+
+
 # ---------------------------------------------------------------------------
 # unrestricted exhaustive engine (maximal feasible families)
 
-def _exhaustive(pool_masks: list[int], compat, objective, deadline=None) -> dict:
+def _exhaustive(pool_masks: list[int], compat, value, deadline=None) -> dict:
     nv = len(pool_masks)
     if nv > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
@@ -582,12 +745,14 @@ def _exhaustive(pool_masks: list[int], compat, objective, deadline=None) -> dict
     def visit(r: int):
         state["cliques"] += 1
         members = [pool_masks[i] for i in range(nv) if (r >> i) & 1]
-        v = objective(members)
+        v = value(members)
+        if state["best"] is not None and v < state["best"]:
+            return
         key = tuple(sorted((m.bit_count(), m) for m in members))
         if state["best"] is None or v > state["best"]:
             state["best"], state["count"] = v, 1
             state["witness"] = (key, tuple(sorted(members)))
-        elif v == state["best"]:
+        else:
             state["count"] += 1
             if key < state["witness"][0]:
                 state["witness"] = (key, tuple(sorted(members)))
@@ -622,211 +787,14 @@ def _exhaustive(pool_masks: list[int], compat, objective, deadline=None) -> dict
     except _TimeUp:
         state["timed_out"] = True
     if state["best"] is None:
-        state["best"] = objective([])
+        state["best"] = value([])
         state["witness"] = ((), ())
         state["count"] = 1
     return state
 
 
 # ---------------------------------------------------------------------------
-# objective wiring
-
-def _validate_common(n: int):
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > SEARCH_CAP:
-        raise CapExceeded(f"search needs n <= {SEARCH_CAP}, got {n}")
-
-
-def _objective_config(objective: str, params: dict) -> dict:
-    """Normalized search configuration for one objective instance."""
-    n = int(params["n"])
-    _validate_common(n)
-    if objective in ("max_union_size", "max_diameter_size", "upper_layers",
-                     "diametral_overflow"):
-        u = int(params["u"])
-        if not 0 < u < n:
-            raise ValueError(f"need 0 < u < n, got u={u}, n={n}")
-        d = u // 2
-        levels = tuple(range(d + 1, u + 1))
-        if objective == "upper_layers":
-            r = d
-            low = r if u % 2 == 0 else r + 1
-            counted = tuple(k for k in levels if k >= low)
-            free_counted = (r,) if u % 2 == 0 else ()
-            return {
-                "n": n, "u": u, "levels": levels, "counted": counted,
-                "free_counted": free_counted, "mode": "count",
-                "objective_low": low,
-                "default_restricted": True, "shift_invariant": True,
-                "reduction": "initial_complex",
-            }
-        if objective == "diametral_overflow":
-            if n > DIAMETRAL_CENTER_CAP:
-                raise CapExceeded(
-                    f"diametral search needs n <= {DIAMETRAL_CENTER_CAP}")
-            return {
-                "n": n, "u": u, "levels": levels, "counted": (),
-                "free_counted": (), "mode": "diametral",
-                "default_restricted": False, "shift_invariant": False,
-                "reduction": "downshift_complex",
-            }
-        reduction = ("initial_complex" if objective == "max_union_size"
-                     else "downshift_complex")
-        return {
-            "n": n, "u": u, "levels": levels, "counted": levels,
-            "free_counted": tuple(range(0, d + 1)), "mode": "count",
-            "default_restricted": True, "shift_invariant": True,
-            "reduction": reduction,
-        }
-    if objective == "overflow_even":
-        d = int(params["d"])
-        u = 2 * d
-        if d < 1 or n < 2 * d + 2:
-            raise ValueError(f"need d >= 1 and n >= 2d + 2, got n={n}, d={d}")
-        levels = tuple(range(d + 1, u + 1))
-        return {
-            "n": n, "u": u, "levels": levels, "counted": levels,
-            "free_counted": (), "mode": "count",
-            "default_restricted": True, "shift_invariant": True,
-            "reduction": "initial_complex",
-        }
-    if objective == "overflow_odd":
-        d = int(params["d"])
-        u = 2 * d + 1
-        if d < 1 or n < 2 * d + 2:
-            raise ValueError(f"need d >= 1 and n >= 2d + 2, got n={n}, d={d}")
-        levels = tuple(range(d + 1, u + 1))
-        return {
-            "n": n, "u": u, "levels": levels, "counted": (),
-            "free_counted": (), "mode": "overflow_odd", "d": d,
-            "default_restricted": False, "shift_invariant": False,
-            "reduction": "initial_complex",
-        }
-    if objective == "diversity":
-        k = int(params["k"])
-        if k < 1 or n <= 2 * k:
-            raise ValueError(f"need k >= 1 and n > 2k, got n={n}, k={k}")
-        return {
-            "n": n, "u": None, "levels": (k,), "counted": (),
-            "free_counted": (), "mode": "diversity",
-            "default_restricted": False, "shift_invariant": False,
-            "reduction": "initial_complex",
-        }
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def _seed_families(objective: str, cfg: dict) -> list[SetFamily]:
-    n = cfg["n"]
-    out = []
-    if objective in ("max_union_size", "max_diameter_size"):
-        out.append(cons.katona(n, cfg["u"]))
-    elif objective == "upper_layers":
-        out.append(cons.katona(n, cfg["u"]))
-    elif objective == "overflow_even":
-        d = cfg["u"] // 2
-        out.append(cons.b_family(n, d))
-        if d >= 2 and n >= 4:
-            out.append(cons.d_even(n, d))
-    elif objective == "overflow_odd":
-        d = cfg["d"]
-        if n >= 3:
-            out.append(cons.g_family(n, d))
-    elif objective == "diversity":
-        k = int(cfg["levels"][0])
-        if n > 2 * k:
-            out.append(cons.triangle(n, k))
-    elif objective == "diametral_overflow":
-        d = cfg["u"] // 2
-        if cfg["u"] % 2 == 0:
-            out.append(cons.b_family(n, d))
-        elif n >= 3 and d >= 1:
-            out.append(cons.g_family(n, d))
-    return out
-
-
-def _objective_value(objective: str, cfg: dict, fam: SetFamily) -> int:
-    if objective in ("max_union_size", "max_diameter_size"):
-        return len(fam)
-    if objective == "overflow_even":
-        return overflow_even_of(fam, cfg["u"] // 2)
-    if objective == "overflow_odd":
-        return overflow_odd_of(fam, cfg["d"])[0]
-    if objective == "upper_layers":
-        return len(at_least(fam, cfg["objective_low"]))
-    if objective == "diversity":
-        if not fam.members:
-            return 0
-        return min(
-            sum(1 for m in fam.members if not m >> x & 1) for x in range(fam.n))
-    if objective == "diametral_overflow":
-        return diametral_overflow(fam, cfg["u"])[0]
-    raise ValueError(objective)
-
-
-def _feasible(objective: str, cfg: dict, fam: SetFamily) -> bool:
-    if objective in ("max_union_size", "overflow_even", "overflow_odd",
-                     "upper_layers"):
-        return is_u_union(fam, cfg["u"])
-    if objective in ("max_diameter_size", "diametral_overflow"):
-        return diameter(fam) <= cfg["u"]
-    if objective == "diversity":
-        k = cfg["levels"][0]
-        return (all(m.bit_count() == k for m in fam.members)
-                and (len(fam) == 0 or is_t_intersecting(fam, 1)))
-    raise ValueError(objective)
-
-
-def _exhaustive_pool(objective: str, cfg: dict) -> tuple[list[int], object]:
-    n = cfg["n"]
-    if objective == "diversity":
-        k = cfg["levels"][0]
-        pool = [mask_of(c) for c in combinations(range(1, n + 1), k)]
-        return pool, lambda a, b: a & b != 0
-    u = cfg["u"]
-    if objective in ("max_diameter_size", "diametral_overflow"):
-        pool = list(range(1 << n))
-        return pool, lambda a, b: (a ^ b).bit_count() <= u
-    lo = 0 if objective == "max_union_size" else (
-        cfg["objective_low"] if objective == "upper_layers" else u // 2 + 1)
-    pool = [m for m in range(1 << n)
-            if lo <= m.bit_count() <= u]
-    return pool, lambda a, b: (a | b).bit_count() <= u
-
-
-def _exhaustive_objective(objective: str, cfg: dict):
-    n = cfg["n"]
-    if objective in ("max_union_size", "max_diameter_size", "overflow_even",
-                     "upper_layers"):
-        return len
-    if objective == "overflow_odd":
-        d = cfg["d"]
-
-        def value(members):
-            if not members:
-                return 0
-            return min(
-                sum(1 for m in members if (m & ~(1 << x)).bit_count() > d)
-                for x in range(n))
-        return value
-    if objective == "diversity":
-        def value(members):
-            if not members:
-                return 0
-            return min(
-                sum(1 for m in members if not m >> x & 1) for x in range(n))
-        return value
-    if objective == "diametral_overflow":
-        u = cfg["u"]
-        centers = list(range(1 << n))
-
-        def value(members):
-            return min(
-                sum(1 for m in members if not _in_ball(m, c, u))
-                for c in centers)
-        return value
-    raise ValueError(objective)
-
+# maximize
 
 def maximize(objective: str, params: dict,
              options: SearchOptions | None = None) -> SearchCertificate:
@@ -837,60 +805,48 @@ def maximize(objective: str, params: dict,
     search (tiny ground sets only).  Forcing restriction for the latter
     yields a certified lower bound with proven_optimal False.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
+    obj = _objective(objective)
     options = options or SearchOptions()
-    cfg = _objective_config(objective, params)
+    inst = _instance(obj, params)
     restricted = options.restrict_to_initial_complexes
     if restricted is None:
-        restricted = cfg["default_restricted"]
+        restricted = obj.shift_invariant
     t0 = time.monotonic()
 
-    seeds = []
-    for fam in _seed_families(objective, cfg):
-        if _feasible(objective, cfg, fam):
-            seeds.append((_objective_value(objective, cfg, fam), fam))
-    seed_value, seed_fam = -1, SetFamily(cfg["n"], ())
-    for v, fam in seeds:
-        if v > seed_value:
-            seed_value, seed_fam = v, fam
+    seed_value, seed_fam = -1, SetFamily(inst.n, ())
+    for fam in obj.seeds(inst):
+        if obj.relation.holds(inst, fam):
+            v = obj.value(inst, fam.members)
+            if v > seed_value:
+                seed_value, seed_fam = v, fam
 
     if restricted:
-        spec = _EngineSpec(
-            n=cfg["n"], u=cfg["u"], levels=cfg["levels"],
-            counted_levels=cfg["counted"], free_counted=cfg["free_counted"],
-            mode=cfg["mode"], d=cfg.get("d", 0),
-            diam_u=cfg["u"] if cfg["mode"] == "diametral" else 0,
-            use_pruning=options.use_pruning)
+        spec = _EngineSpec(objective, inst, options.use_pruning)
         res = _run_layered(spec, seed_value, tuple(seed_fam.members), options)
-        witness = SetFamily.from_masks(cfg["n"], res["witness_masks"])
-        proven = cfg["shift_invariant"] and not res["timed_out"]
-        cert = SearchCertificate(
-            objective=objective, params={k: int(v) for k, v in params.items()},
-            optimum=res["best"], witness=witness,
-            proven_optimal=proven, reduction_used=cfg["reduction"],
-            nodes_explored=res["nodes"],
-            elapsed_ms=int((time.monotonic() - t0) * 1000),
-            maximizers=res["count"], timed_out=res["timed_out"])
-        return cert
-
-    pool, compat = _exhaustive_pool(objective, cfg)
-    deadline = None
-    if options.time_limit is not None:
-        deadline = t0 + options.time_limit
-    res = _exhaustive(pool, compat, _exhaustive_objective(objective, cfg),
-                      deadline)
-    best, witness_masks = res["best"], res["witness"][1]
-    if best < seed_value:
-        best, witness_masks = seed_value, tuple(seed_fam.members)
-    witness = SetFamily.from_masks(cfg["n"], witness_masks)
+        best, witness_masks = res["best"], res["witness_masks"]
+        nodes, maximizers = res["nodes"], res["count"]
+        proven = obj.shift_invariant and not res["timed_out"]
+        reduction = obj.relation.reduction
+    else:
+        sizes = obj.sizes(inst)
+        pool = [m for m in range(1 << inst.n) if m.bit_count() in sizes]
+        deadline = None
+        if options.time_limit is not None:
+            deadline = t0 + options.time_limit
+        compatible = obj.relation.compatible
+        res = _exhaustive(pool, lambda a, b: compatible(a, b, inst.u),
+                          lambda masks: obj.value(inst, masks), deadline)
+        best, witness_masks = res["best"], res["witness"][1]
+        if best < seed_value:
+            best, witness_masks = seed_value, tuple(seed_fam.members)
+        nodes, maximizers = res["cliques"], None
+        proven, reduction = not res["timed_out"], "none"
     return SearchCertificate(
         objective=objective, params={k: int(v) for k, v in params.items()},
-        optimum=best, witness=witness,
-        proven_optimal=not res["timed_out"], reduction_used="none",
-        nodes_explored=res["cliques"],
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-        maximizers=None, timed_out=res["timed_out"])
+        optimum=best, witness=SetFamily.from_masks(inst.n, witness_masks),
+        proven_optimal=proven, reduction_used=reduction,
+        nodes_explored=nodes, elapsed_ms=int((time.monotonic() - t0) * 1000),
+        maximizers=maximizers, timed_out=res["timed_out"])
 
 
 # ---------------------------------------------------------------------------
@@ -945,15 +901,14 @@ def verify_hilton(n: int, a: int, b: int) -> BoundReport:
 
 
 def recheck(cert: SearchCertificate) -> bool:
-    """Re-derive feasibility and objective value of the witness from the
-    direct evaluators; never trusts anything search-internal."""
+    """Re-derive feasibility (through core's predicates) and the objective
+    value of the witness; never trusts anything search-internal."""
     try:
-        cfg = _objective_config(cert.objective, cert.params)
+        obj = _objective(cert.objective)
+        inst = _instance(obj, cert.params)
     except (ValueError, CapExceeded):
         return False
     fam = cert.witness
-    if fam.n != cfg["n"]:
+    if fam.n != inst.n or not obj.relation.holds(inst, fam):
         return False
-    if not _feasible(cert.objective, cfg, fam):
-        return False
-    return _objective_value(cert.objective, cfg, fam) == cert.optimum
+    return obj.value(inst, fam.members) == cert.optimum

@@ -178,6 +178,20 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
                 "--u", "4"]) == 3
     assert run(["construct", "--family", "katona", "--n", "5", "--u", "9"]) == 2
     capsys.readouterr()
+    # a missing flag is a usage error naming the flag, never a traceback
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({"n": 4, "sets": [[1, 2], [1, 3]]}))
+    for argv, message in (
+            (["bound", "--name", "katona", "--n", "5"], "bound katona needs --u"),
+            (["bound", "--name", "quintic"], "bound quintic needs --c"),
+            (["check", "--pred", "t-intersecting", "--input", str(fam)],
+             "check t-intersecting needs --t"),
+            (["check", "--pred", "u-union", "--input", str(fam)],
+             "check u-union needs --u"),
+            (["search", "--objective", "overflow-odd", "--n", "6"],
+             "objective overflow-odd needs --d")):
+        assert run(argv) == 2, argv
+        assert message in capsys.readouterr().err
 
 
 def test_stdin_stdout_paths(capsys, monkeypatch, tmp_path):
@@ -194,3 +208,17 @@ def test_table_format(capsys):
                 "--format", "table"]) == 0
     out = capsys.readouterr().out
     assert 'value: "28"' in out
+
+
+def test_search_option_and_certificate_input_errors(tmp_path, capsys):
+    argv = ["search", "--objective", "max-union-size", "--n", "5", "--u", "2"]
+    assert run(argv + ["--time-limit", "-1"]) == 2
+    assert run(argv + ["--workers", "0"]) == 2
+    cert = tmp_path / "cert.json"
+    assert run(argv + ["-o", str(cert)]) == 0
+    good = json.loads(cert.read_text())
+    for key, bad in (("objective", "max_nonsense"), ("maximizers", "abc"),
+                     ("maximizers", 1.5)):
+        cert.write_text(json.dumps({**good, key: bad}))
+        assert run(["recheck", "--input", str(cert)]) == 2, (key, bad)
+    capsys.readouterr()

@@ -264,6 +264,23 @@ def test_certificate_json_round_trip():
     assert recheck(again)
 
 
+def test_certificate_input_validation():
+    good = maximize("overflow_even", {"n": 6, "d": 1}).to_json_dict()
+    for key, bad in (("objective", "nonsense"), ("maximizers", "abc"),
+                     ("maximizers", True), ("maximizers", 2.0)):
+        with pytest.raises(ValueError):
+            SearchCertificate.from_json_dict({**good, key: bad})
+    assert SearchCertificate.from_json_dict({**good, "maximizers": None}).maximizers is None
+
+
+def test_search_options_validation():
+    with pytest.raises(ValueError):
+        SearchOptions(time_limit=-1)
+    with pytest.raises(ValueError):
+        SearchOptions(workers=0)
+    assert SearchOptions(time_limit=0, workers=1).time_limit == 0
+
+
 def test_recheck_rejects_tampering():
     cert = maximize("max_union_size", {"n": 5, "u": 2})
     worse_witness = dataclasses.replace(
