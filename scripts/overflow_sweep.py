@@ -9,24 +9,20 @@ closed form once n < 4d - 1.
 
 import argparse
 
-from katona import (
-    SearchOptions, d_even_overflow, maximize, overflow_bound, recheck,
-)
+from katona import d_even_overflow, maximize, overflow_bound, recheck
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=12)
     ap.add_argument("--max-d", type=int, default=3)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     print(f"{'n':>3} {'d':>3} {'optimum':>8} {'C(n-2,d-1)':>11} "
           f"{'regime':>7} {'base-[4]':>9} {'nodes':>8}")
     for d in range(1, args.max_d + 1):
         for n in range(2 * d + 2, args.max_n + 1):
-            cert = maximize("overflow_even", {"n": n, "d": d},
-                            SearchOptions(workers=args.workers))
+            cert = maximize("overflow_even", {"n": n, "d": d})
             assert cert.proven_optimal and recheck(cert)
             rep = overflow_bound(n, 2 * d)
             dval = d_even_overflow(n, d) if d >= 2 and n >= 4 else "-"

@@ -444,7 +444,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("n", "u", "k", "d"):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--time-limit", type=float)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be 1: the search runs in one process; the flag "
+                   "remains so that scripts passing --workers 1 keep working")
     p.add_argument("--initial-complexes", choices=("auto", "yes", "no"),
                    default="auto",
                    help="restrict to initial complexes (auto: per objective)")

@@ -277,13 +277,25 @@ def family_to_json_dict(fam: SetFamily, form: str = "sets") -> dict:
     raise ValueError(f"unknown family JSON form {form!r}")
 
 
+def _list_of(value, kind: type) -> bool:
+    """A JSON list whose items are all exactly of type kind (bool is not int)."""
+    return type(value) is list and all(type(v) is kind for v in value)
+
+
 def family_from_json_dict(obj: dict) -> SetFamily:
-    if "n" not in obj:
+    if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError("family JSON needs an 'n' field")
-    n = int(obj["n"])
+    n = obj["n"]
+    if type(n) is not int:
+        raise ValueError(f"'n' must be an integer, got {n!r}")
     if "sets" in obj:
-        return family_from_sets(n, obj["sets"])
+        sets = obj["sets"]
+        if not (_list_of(sets, list) and all(_list_of(s, int) for s in sets)):
+            raise ValueError("'sets' must be a list of lists of integers")
+        return family_from_sets(n, sets)
     if "hex" in obj:
+        if not _list_of(obj["hex"], str):
+            raise ValueError("'hex' must be a list of strings")
         return SetFamily.from_masks(n, (int(h, 16) for h in obj["hex"]))
     raise ValueError("family JSON needs a 'sets' or 'hex' field")
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -313,6 +312,13 @@ def _instance(obj: Objective, params: dict) -> _Instance:
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """How `maximize` searches.
+
+    `time_limit` (seconds) bounds the whole call, setup included.  The
+    search runs in one process, so `workers` accepts only 1; the field
+    remains so that callers which pass `workers=1` keep working.
+    """
+
     time_limit: float | None = None
     workers: int = 1
     restrict_to_initial_complexes: bool | None = None  # None = per-objective default
@@ -321,8 +327,9 @@ class SearchOptions:
     def __post_init__(self):
         if self.time_limit is not None and self.time_limit < 0:
             raise ValueError(f"need time_limit >= 0, got {self.time_limit}")
-        if self.workers < 1:
-            raise ValueError(f"need workers >= 1, got {self.workers}")
+        if self.workers != 1:
+            raise ValueError(
+                f"the search runs in one process: need workers = 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -354,13 +361,19 @@ class SearchCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SearchCertificate":
+        if not isinstance(obj, dict):
+            raise ValueError("a certificate must be a JSON object")
         _objective(obj["objective"])
+        params = obj["params"]
+        if not isinstance(params, dict) or any(
+                type(v) is not int for v in params.values()):
+            raise ValueError(f"params must map names to integers, got {params!r}")
         maximizers = obj.get("maximizers")
         if maximizers is not None and type(maximizers) is not int:
             raise ValueError(f"maximizers must be an integer or null, got {maximizers!r}")
         return cls(
             objective=obj["objective"],
-            params={k: int(v) for k, v in obj["params"].items()},
+            params=dict(params),
             optimum=int(obj["optimum"]),
             witness=family_from_json_dict(obj["witness"]),
             proven_optimal=bool(obj["proven_optimal"]),
@@ -377,6 +390,44 @@ class SearchCertificate:
 
 class _TimeUp(Exception):
     pass
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() >= deadline:
+        raise _TimeUp
+
+
+# ---------------------------------------------------------------------------
+# the incumbent: one rule for both engines
+
+class _Incumbent:
+    """The best family found so far.
+
+    It starts at the best feasible seed construction; the empty family,
+    feasible for every objective, is the seed of last resort.  The seed
+    stays the result when no searched family reaches its value.  Among the
+    searched families of the best value, `count` counts them and the
+    witness is the one with the smallest canonical key (bit_count, mask).
+    """
+
+    def __init__(self, obj: Objective, inst: _Instance):
+        seeds = [fam for fam in obj.seeds(inst) if obj.relation.holds(inst, fam)]
+        seeds.append(SetFamily(inst.n, ()))
+        values = [obj.value(inst, fam.members) for fam in seeds]
+        self.value = max(values)
+        self.masks = seeds[values.index(self.value)].members   # first seed on ties
+        self.key = None                # the witness's key, once a family is searched
+        self.count = 0
+
+    def offer(self, value: int, masks: Sequence[int]) -> None:
+        if value < self.value:
+            return
+        key = tuple(sorted((m.bit_count(), m) for m in masks))
+        if value > self.value:
+            self.value, self.key, self.count = value, None, 0
+        self.count += 1
+        if self.key is None or key < self.key:
+            self.key, self.masks = key, masks
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +482,14 @@ def _shadow_masks(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _EngineSpec:
-    """Everything a worker needs to rebuild the layered search."""
-
-    objective: str                     # key into OBJECTIVES
-    inst: _Instance
-    use_pruning: bool = True
-
-
 _CANDIDATE_CAP = 20_000
 
 
 class _LayeredDFS:
-    def __init__(self, spec: _EngineSpec):
-        self.spec = spec
-        inst = self.inst = spec.inst
-        obj = OBJECTIVES[spec.objective]
+    def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
+        self.inst = inst
         self.value = obj.value
+        self.use_pruning = use_pruning
         n = inst.n
         self.compat_union = inst.u is not None
         self.cands: list[tuple[int, int]] = []
@@ -500,45 +541,25 @@ class _LayeredDFS:
             return (a | b).bit_count() <= self.inst.u
         return a & b != 0
 
-    # -- state management ---------------------------------------------------
-
-    def _reset(self, best_value: int):
-        self.best = best_value
-        self.count = 0
-        self.best_witness = None   # (canonical_key, masks tuple)
+    def run(self, incumbent: _Incumbent, deadline: float | None) -> bool:
+        """Offer every leaf the bounds leave open to the incumbent; True when
+        the deadline stopped the search."""
+        if sys.getrecursionlimit() < self.N + 2000:
+            sys.setrecursionlimit(self.N + 2000)
+        self.incumbent = incumbent
+        self.deadline = deadline
         self.included = set()
         self.incl_all = []
         self.by_level = {k: [] for k in self.inst.levels}
         self.caps = dict(self.caps0)
         self.alive = {k: set(v) for k, v in self.free_masks.items()}
         self.nodes = 0
-        self.branch_depth = 0
-
-    def run(self, seed_value: int, forced: tuple[bool, ...] = (),
-            deadline: float | None = None,
-            collect_at: int | None = None) -> dict:
-        """Explore (or, with collect_at, expand prefixes to that branch depth)."""
-        if sys.getrecursionlimit() < self.N + 2000:
-            sys.setrecursionlimit(self.N + 2000)
-        self._reset(seed_value)
-        self.forced = forced
-        self.deadline = deadline
-        self.collect_at = collect_at
-        self.collected: list[tuple[bool, ...]] = []
-        self.decisions: list[bool] = []
-        timed_out = False
         try:
+            _check_deadline(deadline)
             self._dfs(0)
         except _TimeUp:
-            timed_out = True
-        return {
-            "best": self.best,
-            "count": self.count,
-            "witness": self.best_witness,
-            "nodes": self.nodes,
-            "timed_out": timed_out,
-            "prefixes": self.collected,
-        }
+            return True
+        return False
 
     # -- bounding -----------------------------------------------------------
 
@@ -569,29 +590,17 @@ class _LayeredDFS:
 
     def _at_leaf(self):
         masks = tuple(sorted(self.incl_all + self._free_completion()))
-        v = self.value(self.inst, masks)
-        if v < self.best:
-            return
-        key = tuple(sorted((m.bit_count(), m) for m in masks))
-        if v > self.best:
-            self.best = v
-            self.count = 1
-            self.best_witness = (key, masks)
-        else:
-            self.count += 1
-            if self.best_witness is None or key < self.best_witness[0]:
-                self.best_witness = (key, masks)
+        self.incumbent.offer(self.value(self.inst, masks), masks)
 
     # -- the DFS ------------------------------------------------------------
 
     def _prune(self, pos: int) -> bool:
-        return self.spec.use_pruning and self._bound(pos) < self.best
+        return self.use_pruning and self._bound(pos) < self.incumbent.value
 
     def _dfs(self, pos: int):
         self.nodes += 1
-        if self.deadline is not None and self.nodes & 127 == 0:
-            if time.monotonic() > self.deadline:
-                raise _TimeUp
+        if self.deadline is not None:
+            _check_deadline(self.deadline)
         restore = []
         try:
             while pos < self.N:
@@ -612,21 +621,11 @@ class _LayeredDFS:
                         return
                 pos += 1
             if pos >= self.N:
-                if self.collect_at is not None:
-                    self.collected.append(tuple(self.decisions))
-                else:
-                    self._at_leaf()
+                self._at_leaf()
                 return
-            # branch point
-            if self.collect_at is not None and self.branch_depth == self.collect_at:
-                self.collected.append(tuple(self.decisions))
-                return
-            depth = self.branch_depth
-            want = self.forced[depth] if depth < len(self.forced) else None
+            # branch point: include the candidate, then exclude it
             k, m = self.cands[pos]
-            self.branch_depth = depth + 1
-            if want is not False and not self._prune(pos):
-                self.decisions.append(True)
+            if not self._prune(pos):
                 self.included.add(m)
                 self.incl_all.append(m)
                 self.by_level[k].append(m)
@@ -642,88 +641,27 @@ class _LayeredDFS:
                 self.by_level[k].pop()
                 self.incl_all.pop()
                 self.included.discard(m)
-                self.decisions.pop()
-            if want is not True:
-                self.decisions.append(False)
-                cap = self.special[k].get(m)
-                old = None
-                if cap is not None and cap < self.caps[k]:
-                    old = self.caps[k]
-                    self.caps[k] = cap
-                if not self._prune(pos + 1):
-                    self._dfs(pos + 1)
-                if old is not None:
-                    self.caps[k] = old
-                self.decisions.pop()
-            self.branch_depth = depth
+            cap = self.special[k].get(m)
+            old = None
+            if cap is not None and cap < self.caps[k]:
+                old = self.caps[k]
+                self.caps[k] = cap
+            if not self._prune(pos + 1):
+                self._dfs(pos + 1)
+            if old is not None:
+                self.caps[k] = old
         finally:
             for k, cap in reversed(restore):
                 self.caps[k] = cap
 
 
-def _worker_solve(args) -> dict:
-    spec, seed_value, forced, deadline_rel = args
-    engine = _LayeredDFS(spec)
-    deadline = None
-    if deadline_rel is not None:
-        deadline = time.monotonic() + deadline_rel
-    res = engine.run(seed_value, forced=forced, deadline=deadline)
-    w = res["witness"]
-    res["witness"] = None if w is None else (w[0], tuple(w[1]))
-    return res
-
-
-def _run_layered(spec: _EngineSpec, seed_value: int, seed_masks: tuple[int, ...],
-                 options: SearchOptions) -> dict:
-    deadline = None
-    if options.time_limit is not None:
-        deadline = time.monotonic() + options.time_limit
-    engine = _LayeredDFS(spec)
-    if options.workers <= 1:
-        res = engine.run(seed_value, deadline=deadline)
-        results = [res]
-        nodes = res["nodes"]
-        timed_out = res["timed_out"]
-    else:
-        depth = max(1, (3 * options.workers - 1).bit_length())
-        col = engine.run(seed_value, collect_at=depth, deadline=deadline)
-        prefixes = col["prefixes"]
-        remain = None
-        if options.time_limit is not None:
-            remain = max(0.0, deadline - time.monotonic())
-        tasks = [(spec, seed_value, p, remain) for p in prefixes]
-        with ProcessPoolExecutor(max_workers=options.workers) as pool:
-            results = list(pool.map(_worker_solve, tasks))
-        nodes = col["nodes"] + sum(r["nodes"] for r in results)
-        timed_out = col["timed_out"] or any(r["timed_out"] for r in results)
-    best = seed_value
-    count = 0
-    witness = None
-    for r in results:
-        if r["best"] > best:
-            best, count, witness = r["best"], r["count"], r["witness"]
-        elif r["best"] == best:
-            count += r["count"]
-            w = r["witness"]
-            if w is not None and (witness is None or w[0] < witness[0]):
-                witness = w
-    if witness is None:
-        witness = (None, seed_masks)
-        count = None
-    if timed_out:
-        count = None
-    return {
-        "best": best, "count": count, "witness_masks": witness[1],
-        "nodes": nodes, "timed_out": timed_out,
-    }
-
-
-
-
 # ---------------------------------------------------------------------------
 # unrestricted exhaustive engine (maximal feasible families)
 
-def _exhaustive(pool_masks: list[int], compat, value, deadline=None) -> dict:
+def _exhaustive(pool_masks: list[int], compat, value, incumbent: _Incumbent,
+                deadline: float | None) -> tuple[int, bool]:
+    """Offer every maximal feasible family to the incumbent; return how many
+    were visited and whether the deadline stopped the enumeration."""
     nv = len(pool_masks)
     if nv > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
@@ -739,30 +677,17 @@ def _exhaustive(pool_masks: list[int], compat, value, deadline=None) -> dict:
     for i in range(nv):
         if compat(pool_masks[i], pool_masks[i]):
             start |= 1 << i
-    state = {"best": None, "count": 0, "witness": None, "cliques": 0,
-             "timed_out": False}
-
-    def visit(r: int):
-        state["cliques"] += 1
-        members = [pool_masks[i] for i in range(nv) if (r >> i) & 1]
-        v = value(members)
-        if state["best"] is not None and v < state["best"]:
-            return
-        key = tuple(sorted((m.bit_count(), m) for m in members))
-        if state["best"] is None or v > state["best"]:
-            state["best"], state["count"] = v, 1
-            state["witness"] = (key, tuple(sorted(members)))
-        else:
-            state["count"] += 1
-            if key < state["witness"][0]:
-                state["witness"] = (key, tuple(sorted(members)))
+    cliques = calls = 0
 
     def expand(r: int, p: int, x: int):
-        if deadline is not None and state["cliques"] % 512 == 0:
-            if time.monotonic() > deadline:
-                raise _TimeUp
+        nonlocal cliques, calls
+        calls += 1
+        if calls & 511 == 0:
+            _check_deadline(deadline)
         if p == 0 and x == 0:
-            visit(r)
+            cliques += 1
+            members = [pool_masks[i] for i in range(nv) if (r >> i) & 1]
+            incumbent.offer(value(members), members)
             return
         pux = p | x
         best_u, best_deg = -1, -1
@@ -783,14 +708,11 @@ def _exhaustive(pool_masks: list[int], compat, value, deadline=None) -> dict:
             x |= vb
 
     try:
+        _check_deadline(deadline)
         expand(0, start, 0)
     except _TimeUp:
-        state["timed_out"] = True
-    if state["best"] is None:
-        state["best"] = value([])
-        state["witness"] = ((), ())
-        state["count"] = 1
-    return state
+        return cliques, True
+    return cliques, False
 
 
 # ---------------------------------------------------------------------------
@@ -805,48 +727,39 @@ def maximize(objective: str, params: dict,
     search (tiny ground sets only).  Forcing restriction for the latter
     yields a certified lower bound with proven_optimal False.
     """
+    t0 = time.monotonic()
     obj = _objective(objective)
     options = options or SearchOptions()
     inst = _instance(obj, params)
     restricted = options.restrict_to_initial_complexes
     if restricted is None:
         restricted = obj.shift_invariant
-    t0 = time.monotonic()
-
-    seed_value, seed_fam = -1, SetFamily(inst.n, ())
-    for fam in obj.seeds(inst):
-        if obj.relation.holds(inst, fam):
-            v = obj.value(inst, fam.members)
-            if v > seed_value:
-                seed_value, seed_fam = v, fam
-
+    deadline = None if options.time_limit is None else t0 + options.time_limit
+    incumbent = _Incumbent(obj, inst)
     if restricted:
-        spec = _EngineSpec(objective, inst, options.use_pruning)
-        res = _run_layered(spec, seed_value, tuple(seed_fam.members), options)
-        best, witness_masks = res["best"], res["witness_masks"]
-        nodes, maximizers = res["nodes"], res["count"]
-        proven = obj.shift_invariant and not res["timed_out"]
+        engine = _LayeredDFS(obj, inst, options.use_pruning)
+        timed_out = engine.run(incumbent, deadline)
+        nodes = engine.nodes
+        # no count when the search stopped early or only the seed reached
+        # the optimum
+        maximizers = None if timed_out else incumbent.count or None
+        proven = obj.shift_invariant and not timed_out
         reduction = obj.relation.reduction
     else:
         sizes = obj.sizes(inst)
         pool = [m for m in range(1 << inst.n) if m.bit_count() in sizes]
-        deadline = None
-        if options.time_limit is not None:
-            deadline = t0 + options.time_limit
         compatible = obj.relation.compatible
-        res = _exhaustive(pool, lambda a, b: compatible(a, b, inst.u),
-                          lambda masks: obj.value(inst, masks), deadline)
-        best, witness_masks = res["best"], res["witness"][1]
-        if best < seed_value:
-            best, witness_masks = seed_value, tuple(seed_fam.members)
-        nodes, maximizers = res["cliques"], None
-        proven, reduction = not res["timed_out"], "none"
+        nodes, timed_out = _exhaustive(
+            pool, lambda a, b: compatible(a, b, inst.u),
+            lambda masks: obj.value(inst, masks), incumbent, deadline)
+        maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
         objective=objective, params={k: int(v) for k, v in params.items()},
-        optimum=best, witness=SetFamily.from_masks(inst.n, witness_masks),
+        optimum=incumbent.value,
+        witness=SetFamily.from_masks(inst.n, incumbent.masks),
         proven_optimal=proven, reduction_used=reduction,
         nodes_explored=nodes, elapsed_ms=int((time.monotonic() - t0) * 1000),
-        maximizers=maximizers, timed_out=res["timed_out"])
+        maximizers=maximizers, timed_out=timed_out)
 
 
 # ---------------------------------------------------------------------------

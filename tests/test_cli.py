@@ -37,6 +37,12 @@ def test_construct_round_trip_is_byte_stable(tmp_path, capsys):
     capsys.readouterr()
 
 
+# malformed family JSON: bad input (exit 2), never a traceback or exit 1
+BAD_FAMILIES = ({"n": 6, "sets": "abc"}, {"n": 6, "sets": [[1.5]]},
+                {"n": 6, "sets": [[None]]}, {"n": 6, "sets": [[True]]},
+                {"n": 6, "hex": [3]}, {"n": None, "sets": []})
+
+
 def test_check_exit_codes(tmp_path):
     fam = tmp_path / "b.json"
     assert run(["construct", "--family", "b-family", "--n", "6", "--d", "2",
@@ -47,6 +53,9 @@ def test_check_exit_codes(tmp_path):
                 "--input", str(fam), "-o", str(tmp_path / "y.json")]) == 1
     assert run(["check", "--pred", "complex", "--input", str(fam),
                 "-o", str(tmp_path / "z.json")]) == 0
+    for bad in BAD_FAMILIES:
+        fam.write_text(json.dumps(bad))
+        assert run(["check", "--pred", "complex", "--input", str(fam)]) == 2, bad
 
 
 def test_check_cross(tmp_path):
@@ -214,11 +223,15 @@ def test_search_option_and_certificate_input_errors(tmp_path, capsys):
     argv = ["search", "--objective", "max-union-size", "--n", "5", "--u", "2"]
     assert run(argv + ["--time-limit", "-1"]) == 2
     assert run(argv + ["--workers", "0"]) == 2
+    assert run(argv + ["--workers", "2"]) == 2
+    assert run(argv + ["--workers", "1"]) == 0
     cert = tmp_path / "cert.json"
     assert run(argv + ["-o", str(cert)]) == 0
     good = json.loads(cert.read_text())
-    for key, bad in (("objective", "max_nonsense"), ("maximizers", "abc"),
-                     ("maximizers", 1.5)):
+    bad_fields = [("objective", "max_nonsense"), ("maximizers", "abc"),
+                  ("maximizers", 1.5), ("params", [])]
+    bad_fields += [("witness", bad) for bad in BAD_FAMILIES]
+    for key, bad in bad_fields:
         cert.write_text(json.dumps({**good, key: bad}))
         assert run(["recheck", "--input", str(cert)]) == 2, (key, bad)
     capsys.readouterr()

@@ -205,16 +205,24 @@ def test_kleitman_consistency_small():
             assert cert.optimum == katona_bound(n, u)
 
 
-def test_worker_determinism():
-    for objective, params in (
-            ("max_union_size", {"n": 6, "u": 4}),
-            ("overflow_even", {"n": 9, "d": 2}),
-            ("upper_layers", {"n": 7, "u": 4})):
-        seq = maximize(objective, params, SearchOptions(workers=1))
-        par = maximize(objective, params, SearchOptions(workers=3))
-        assert seq.optimum == par.optimum
-        assert seq.maximizers == par.maximizers
-        assert seq.witness == par.witness
+# default (layered) runs: optimum, maximizer count, witness and node count
+LAYERED_PINS = [
+    ("max_union_size", {"n": 6, "u": 4}, 22, 1, katona(6, 4), 11),
+    ("overflow_even", {"n": 9, "d": 2}, 7, 1, b_family(9, 2), 18),
+    ("upper_layers", {"n": 7, "u": 4}, 21, 1, katona(7, 4), 3),
+]
+
+
+@pytest.mark.parametrize("objective,params,optimum,maximizers,witness,nodes",
+                         LAYERED_PINS)
+def test_layered_results_pinned(objective, params, optimum, maximizers, witness,
+                                nodes):
+    cert = maximize(objective, params)
+    assert cert.optimum == optimum and cert.maximizers == maximizers
+    assert cert.witness == witness
+    assert cert.nodes_explored == nodes
+    assert cert.proven_optimal and not cert.timed_out
+    assert recheck(cert)
 
 
 def test_pruning_does_not_change_results():
@@ -244,6 +252,15 @@ def test_time_limit_yields_honest_lower_bound():
     assert cert.optimum >= len(katona(7, 6))  # the seed is already optimal here
 
 
+def test_zero_time_limit_stops_after_setup():
+    # the deadline is checked once the engine is built, before the first node
+    cert = maximize("overflow_even", {"n": 9, "d": 2}, SearchOptions(time_limit=0))
+    assert cert.timed_out and not cert.proven_optimal
+    assert cert.maximizers is None and cert.nodes_explored == 0
+    assert cert.witness == b_family(9, 2)   # the seed
+    assert recheck(SearchCertificate.from_json_dict(cert.to_json_dict()))
+
+
 def test_search_validation():
     with pytest.raises(CapExceeded):
         maximize("max_union_size", {"n": 30, "u": 4})
@@ -267,7 +284,8 @@ def test_certificate_json_round_trip():
 def test_certificate_input_validation():
     good = maximize("overflow_even", {"n": 6, "d": 1}).to_json_dict()
     for key, bad in (("objective", "nonsense"), ("maximizers", "abc"),
-                     ("maximizers", True), ("maximizers", 2.0)):
+                     ("maximizers", True), ("maximizers", 2.0), ("params", []),
+                     ("params", {"n": 6, "d": "1"})):
         with pytest.raises(ValueError):
             SearchCertificate.from_json_dict({**good, key: bad})
     assert SearchCertificate.from_json_dict({**good, "maximizers": None}).maximizers is None
@@ -276,8 +294,9 @@ def test_certificate_input_validation():
 def test_search_options_validation():
     with pytest.raises(ValueError):
         SearchOptions(time_limit=-1)
-    with pytest.raises(ValueError):
-        SearchOptions(workers=0)
+    for workers in (0, 2):
+        with pytest.raises(ValueError):
+            SearchOptions(workers=workers)
     assert SearchOptions(time_limit=0, workers=1).time_limit == 0
 
 
