@@ -17,9 +17,15 @@ Two engines back `maximize`:
   and its result is proven optimal.  A family is encoded by its layers
   above u/2 (anything of size <= u/2 is pairwise compatible and can be
   completed greedily); each layer is a down-set of the coordinatewise
-  order, explored in colex order with cross-layer feasibility checks.
-  Pruning uses only the closed-form layer caps and the gap/skip walk
-  bounds, so disabling pruning never changes the optimum.
+  order whose shadow lies in the layer below.  Pruning uses only the
+  closed-form layer caps and the gap/skip walk bounds, so disabling
+  pruning never changes the optimum.
+
+  The kernel, `_LayeredDFS`, numbers the candidate sets by level and then
+  in `combinations` order, keeps an int bitset `ready` of the candidates
+  whose needed sets are all included, branches on the lowest ready index
+  compatible with the included members, and runs on an explicit stack
+  with one frame per included member instead of recursing.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -36,7 +42,7 @@ by code that never touches the search internals.
 from __future__ import annotations
 
 import json
-import sys
+import re
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -368,20 +374,33 @@ class SearchCertificate:
         if not isinstance(params, dict) or any(
                 type(v) is not int for v in params.values()):
             raise ValueError(f"params must map names to integers, got {params!r}")
+        optimum = obj["optimum"]
+        if isinstance(optimum, str) and re.fullmatch(r"-?[0-9]+", optimum):
+            optimum = int(optimum)
+        if type(optimum) is not int:
+            raise ValueError(
+                f"optimum must be an integer or a decimal string, got {optimum!r}")
         maximizers = obj.get("maximizers")
         if maximizers is not None and type(maximizers) is not int:
             raise ValueError(f"maximizers must be an integer or null, got {maximizers!r}")
+        for key, kind in (("nodes", int), ("elapsed_ms", int),
+                          ("proven_optimal", bool), ("reduction", str)):
+            if type(obj[key]) is not kind:
+                raise ValueError(f"{key} must be {kind.__name__}, got {obj[key]!r}")
+        timed_out = obj.get("timed_out", False)
+        if type(timed_out) is not bool:
+            raise ValueError(f"timed_out must be bool, got {timed_out!r}")
         return cls(
             objective=obj["objective"],
             params=dict(params),
-            optimum=int(obj["optimum"]),
+            optimum=optimum,
             witness=family_from_json_dict(obj["witness"]),
-            proven_optimal=bool(obj["proven_optimal"]),
+            proven_optimal=obj["proven_optimal"],
             reduction_used=obj["reduction"],
-            nodes_explored=int(obj["nodes"]),
-            elapsed_ms=int(obj["elapsed_ms"]),
+            nodes_explored=obj["nodes"],
+            elapsed_ms=obj["elapsed_ms"],
             maximizers=maximizers,
-            timed_out=bool(obj.get("timed_out", False)),
+            timed_out=timed_out,
         )
 
     def to_json(self) -> str:
@@ -485,48 +504,96 @@ def _shadow_masks(mask: int) -> tuple[int, ...]:
 _CANDIDATE_CAP = 20_000
 
 
+def _bits(x: int):
+    """The indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 class _LayeredDFS:
+    """The layered branch-and-bound, on candidate indices and int bitsets.
+
+    Candidates are the sets of the constrained levels, by level and within
+    a level in `combinations` order; index i is one candidate.  A candidate
+    needs its immediate predecessors and, above the lowest level, its
+    shadow; every need has a smaller index.  `ready` is the bitset of the
+    candidates whose needs are all included; including i counts down
+    `missing` for the candidates in `deps[i]` and ORs in those that become
+    ready.  A ready candidate is feasible when it is compatible with every
+    included member, checked lazily in index order.
+
+    A node at pos branches on the first feasible candidate j >= pos: include
+    j, then exclude it; either way the child starts at j + 1.  The special
+    (gap/skip) candidates in [pos, j) and an excluded special j lower their
+    layer caps in index order, with a prune check after each.  The search
+    runs on an explicit stack with one frame per included candidate: the
+    exclude branch is the node's last step, so its child shares the frame,
+    and the cap restores of the chain join the frame's restore list.
+    """
+
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
         self.inst = inst
         self.value = obj.value
         self.use_pruning = use_pruning
-        n = inst.n
-        self.compat_union = inst.u is not None
-        self.cands: list[tuple[int, int]] = []
-        self.caps0: dict[int, int] = {}
-        self.special: dict[int, dict[int, int]] = {}
-        lowest = inst.levels[0]
-        for k in inst.levels:
+        n, u = inst.n, inst.u
+        # fits(m, members): m is compatible with every member
+        if u is None:
+            self.fits = lambda m, members: all(m & x for x in members)
+        else:
+            self.fits = lambda m, members: all(
+                (m | x).bit_count() <= u for x in members)
+        self.masks: list[int] = []
+        self.level_of: list[int] = []      # index into inst.levels
+        self.spans: list[tuple[int, int]] = []   # each level's [start, end)
+        self.caps0: list[int] = []
+        self.special_cap: dict[int, int] = {}    # index -> gap/skip cap
+        self.specials = 0
+        for li, k in enumerate(inst.levels):
             t = self._fact_t(k)
             cap = comb(n, k)
             if t >= 1:
                 cap = min(cap, comb(n, k - t))
-            self.caps0[k] = cap
+            self.caps0.append(cap)
             sp = dict(_gap_sets(n, k))
             for m, c in _skip_sets(n, k).items():
                 sp[m] = min(sp.get(m, c), c)
-            self.special[k] = sp
+            start = len(self.masks)
             for c in combinations(range(1, n + 1), k):
-                self.cands.append((k, mask_of(c)))
-        self.N = len(self.cands)
+                m = mask_of(c)
+                if m in sp:
+                    self.special_cap[len(self.masks)] = sp[m]
+                    self.specials |= 1 << len(self.masks)
+                self.masks.append(m)
+                self.level_of.append(li)
+            self.spans.append((start, len(self.masks)))
+        self.N = len(self.masks)
         if self.N > _CANDIDATE_CAP:
             raise CapExceeded(
                 f"{self.N} layer candidates exceed the cap of {_CANDIDATE_CAP}")
-        self.preds = [_immediate_preds(m) for _, m in self.cands]
-        self.shads = [_shadow_masks(m) if k > lowest else None for k, m in self.cands]
-        # per-position per-level undecided counts for the optimistic bound
-        self.undec = []
-        tail = {k: 0 for k in inst.levels}
-        for k, _ in reversed(self.cands):
-            tail[k] += 1
-            self.undec.append(dict(tail))
-        self.undec.reverse()
-        self.undec.append({k: 0 for k in inst.levels})
-        # free sets that count toward the bound, tracked incrementally
+        index = {m: i for i, m in enumerate(self.masks)}
+        self.deps: list[list[int]] = [[] for _ in range(self.N)]
+        self.missing0 = []
+        self.ready0 = 0
+        for j, m in enumerate(self.masks):
+            needs = _immediate_preds(m)
+            if self.level_of[j] > 0:
+                needs += _shadow_masks(m)
+            for need in needs:
+                self.deps[index[need]].append(j)
+            self.missing0.append(len(needs))
+            if not needs:
+                self.ready0 |= 1 << j
+        # free sets below the constrained levels: those that count toward the
+        # bound are tracked as a bitset, with a kill mask per candidate
         low = obj.counted_from(inst)
-        self.free_masks = {
-            k: [mask_of(c) for c in combinations(range(1, n + 1), k)]
-            for k in inst.free_levels if k >= low}
+        self.free: list[int] = []
+        self.uncounted: list[int] = []
+        for k in inst.free_levels:
+            out = self.free if k >= low else self.uncounted
+            out.extend(mask_of(c) for c in combinations(range(1, n + 1), k))
+        self.kill: list[int | None] = [None] * self.N
 
     def _fact_t(self, k: int) -> int:
         """Layer k of a u-union family is (2(k - d) - h)-intersecting for
@@ -536,123 +603,124 @@ class _LayeredDFS:
             return 1
         return 2 * (k - u // 2) - u % 2
 
-    def _compatible(self, a: int, b: int) -> bool:
-        if self.compat_union:
-            return (a | b).bit_count() <= self.inst.u
-        return a & b != 0
+    def _kill(self, j: int) -> int:
+        """The counted free sets incompatible with candidate j."""
+        km = self.kill[j]
+        if km is None:
+            m = (self.masks[j],)
+            km = sum(1 << b for b, a in enumerate(self.free) if not self.fits(a, m))
+            self.kill[j] = km
+        return km
+
+    def _leaf(self, incumbent: _Incumbent, included: list[int], alive: int) -> None:
+        """Offer the included members plus every compatible free set."""
+        out = included + [self.free[b] for b in _bits(alive)]
+        out += [a for a in self.uncounted if self.fits(a, included)]
+        masks = tuple(sorted(out))
+        incumbent.offer(self.value(self.inst, masks), masks)
 
     def run(self, incumbent: _Incumbent, deadline: float | None) -> bool:
         """Offer every leaf the bounds leave open to the incumbent; True when
         the deadline stopped the search."""
-        if sys.getrecursionlimit() < self.N + 2000:
-            sys.setrecursionlimit(self.N + 2000)
-        self.incumbent = incumbent
-        self.deadline = deadline
-        self.included = set()
-        self.incl_all = []
-        self.by_level = {k: [] for k in self.inst.levels}
-        self.caps = dict(self.caps0)
-        self.alive = {k: set(v) for k, v in self.free_masks.items()}
         self.nodes = 0
         try:
             _check_deadline(deadline)
-            self._dfs(0)
+            self._search(incumbent, deadline)
         except _TimeUp:
             return True
         return False
 
-    # -- bounding -----------------------------------------------------------
+    def _search(self, incumbent: _Incumbent, deadline: float | None) -> None:
+        N, masks, level_of, spans = self.N, self.masks, self.level_of, self.spans
+        deps, specials, special_cap = self.deps, self.specials, self.special_cap
+        fits, use_pruning = self.fits, self.use_pruning
+        caps = list(self.caps0)
+        counts = [0] * len(caps)           # included members per level
+        missing = list(self.missing0)
+        ready = self.ready0
+        alive = (1 << len(self.free)) - 1  # counted free sets still compatible
+        included: list[int] = []
+        stack = []                         # (j, restore, newly ready, alive)
+        restore: list[tuple[int, int]] = []   # (level, old cap), in order
 
-    def _bound(self, pos: int) -> int:
-        """Every objective's value is at most its counted members: the free
-        ones still compatible plus, per level, the layer cap or what the
-        layer can still reach."""
-        undec = self.undec[pos]
-        b = sum(len(alive) for alive in self.alive.values())
-        for k in self.inst.levels:
-            b += min(self.caps[k], len(self.by_level[k]) + undec[k])
-        return b
+        def prune(pos: int) -> bool:
+            """Every objective's value is at most its counted members: the
+            free ones still compatible plus, per level, the layer cap or what
+            the layer can still reach from pos on."""
+            if not use_pruning:
+                return False
+            b = alive.bit_count()
+            for li, (start, end) in enumerate(spans):
+                reach = counts[li]
+                if pos < end:
+                    reach += end - (start if pos < start else pos)
+                cap = caps[li]
+                b += cap if cap < reach else reach
+            return b < incumbent.value
 
-    # -- leaf evaluation ----------------------------------------------------
-
-    def _free_completion(self) -> list[int]:
-        """All small sets compatible with every included member."""
-        out = []
-        for k in self.inst.free_levels:
-            if k in self.alive:
-                out.extend(self.alive[k])
-                continue
-            for c in combinations(range(1, self.inst.n + 1), k):
-                m = mask_of(c)
-                if all(self._compatible(m, im) for im in self.incl_all):
-                    out.append(m)
-        return out
-
-    def _at_leaf(self):
-        masks = tuple(sorted(self.incl_all + self._free_completion()))
-        self.incumbent.offer(self.value(self.inst, masks), masks)
-
-    # -- the DFS ------------------------------------------------------------
-
-    def _prune(self, pos: int) -> bool:
-        return self.use_pruning and self._bound(pos) < self.incumbent.value
-
-    def _dfs(self, pos: int):
-        self.nodes += 1
-        if self.deadline is not None:
-            _check_deadline(self.deadline)
-        restore = []
-        try:
-            while pos < self.N:
-                k, m = self.cands[pos]
-                feasible = all(pm in self.included for pm in self.preds[pos])
-                if feasible and self.shads[pos] is not None:
-                    feasible = all(sm in self.included for sm in self.shads[pos])
-                if feasible:
-                    feasible = all(
-                        self._compatible(m, im) for im in self.incl_all)
-                if feasible:
+        pos = 0
+        while True:
+            # enter the node at pos
+            self.nodes += 1
+            if deadline is not None:
+                _check_deadline(deadline)
+            j = N
+            for i in _bits(ready >> pos):
+                if fits(masks[pos + i], included):
+                    j = pos + i
                     break
-                cap = self.special[k].get(m)
-                if cap is not None and cap < self.caps[k]:
-                    restore.append((k, self.caps[k]))
-                    self.caps[k] = cap
-                    if self._prune(pos + 1):
-                        return
-                pos += 1
-            if pos >= self.N:
-                self._at_leaf()
-                return
-            # branch point: include the candidate, then exclude it
-            k, m = self.cands[pos]
-            if not self._prune(pos):
-                self.included.add(m)
-                self.incl_all.append(m)
-                self.by_level[k].append(m)
-                killed = []
-                for fk, alive in self.alive.items():
-                    dead = [a for a in alive if not self._compatible(a, m)]
-                    alive.difference_update(dead)
-                    killed.append((fk, dead))
-                if not self._prune(pos + 1):
-                    self._dfs(pos + 1)
-                for fk, dead in killed:
-                    self.alive[fk].update(dead)
-                self.by_level[k].pop()
-                self.incl_all.pop()
-                self.included.discard(m)
-            cap = self.special[k].get(m)
-            old = None
-            if cap is not None and cap < self.caps[k]:
-                old = self.caps[k]
-                self.caps[k] = cap
-            if not self._prune(pos + 1):
-                self._dfs(pos + 1)
-            if old is not None:
-                self.caps[k] = old
-        finally:
-            for k, cap in reversed(restore):
-                self.caps[k] = cap
+            branching = True
+            for p in _bits(specials & ((1 << j) - (1 << pos))):
+                li = level_of[p]
+                if special_cap[p] < caps[li]:
+                    restore.append((li, caps[li]))
+                    caps[li] = special_cap[p]
+                    if prune(p + 1):
+                        branching = False
+                        break
+            if branching and j == N:
+                self._leaf(incumbent, included, alive)
+                branching = False
+            if branching and not prune(j):
+                # include j; a pruned include child unwinds straight back
+                newly = 0
+                for t in deps[j]:
+                    missing[t] -= 1
+                    if not missing[t]:
+                        newly |= 1 << t
+                stack.append((j, restore, newly, alive))
+                ready |= newly
+                if alive:
+                    alive &= ~self._kill(j)
+                included.append(masks[j])
+                counts[level_of[j]] += 1
+                restore = []
+                if not prune(j + 1):
+                    pos = j + 1
+                    continue
+                branching = False
+            # exclude j, or unwind finished nodes until an exclude is open
+            while True:
+                if branching:
+                    li = level_of[j]
+                    cap = special_cap.get(j)
+                    if cap is not None and cap < caps[li]:
+                        restore.append((li, caps[li]))
+                        caps[li] = cap
+                    if not prune(j + 1):
+                        break
+                for li, cap in reversed(restore):
+                    caps[li] = cap
+                if not stack:
+                    return
+                j, restore, newly, alive = stack.pop()
+                ready ^= newly
+                for t in deps[j]:
+                    missing[t] += 1
+                included.pop()
+                counts[level_of[j]] -= 1
+                branching = True
+            pos = j + 1
 
 
 # ---------------------------------------------------------------------------

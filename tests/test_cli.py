@@ -1,8 +1,10 @@
 import json
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from katona import family_from_json, katona
+from katona import family_from_json, katona, maximize
 from katona.cli import run
 
 
@@ -229,9 +231,35 @@ def test_search_option_and_certificate_input_errors(tmp_path, capsys):
     assert run(argv + ["-o", str(cert)]) == 0
     good = json.loads(cert.read_text())
     bad_fields = [("objective", "max_nonsense"), ("maximizers", "abc"),
-                  ("maximizers", 1.5), ("params", [])]
+                  ("maximizers", 1.5), ("params", []),
+                  ("optimum", None), ("optimum", []), ("optimum", 1.5),
+                  ("nodes", None), ("nodes", [1]), ("elapsed_ms", None),
+                  ("elapsed_ms", {}), ("proven_optimal", "no"), ("timed_out", "yes"),
+                  ("reduction", 1)]
     bad_fields += [("witness", bad) for bad in BAD_FAMILIES]
     for key, bad in bad_fields:
         cert.write_text(json.dumps({**good, key: bad}))
         assert run(["recheck", "--input", str(cert)]) == 2, (key, bad)
     capsys.readouterr()
+
+
+@cache
+def _valid_certificate() -> dict:
+    return maximize("max_union_size", {"n": 5, "u": 2}).to_json_dict()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(sorted(_valid_certificate())), value=JSON_VALUES)
+def test_recheck_input_contract_fuzz(tmp_path_factory, key, value):
+    # one field of a valid certificate replaced by an arbitrary JSON value:
+    # recheck answers 0, 1 or 2 and never raises
+    path = tmp_path_factory.getbasetemp() / "fuzzed-cert.json"
+    path.write_text(json.dumps({**_valid_certificate(), key: value}))
+    assert run(["recheck", "--input", str(path)]) in (0, 1, 2)

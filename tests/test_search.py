@@ -1,14 +1,17 @@
 import dataclasses
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
-    b_family, ball, d_even, diameter, diametral_overflow, down_closure,
-    family_from_sets, g_family, katona, katona_bound, katona_overflow_of,
-    maximize, overflow_even_of, overflow_odd_of, recheck, triangle,
-    verify_hilton,
+    b_family, ball, d_even, d_even_overflow, diameter, diametral_overflow,
+    down_closure, family_from_sets, g_family, katona, katona_bound,
+    katona_overflow_of, maximize, overflow_even_of, overflow_odd_of, recheck,
+    triangle, verify_hilton,
 )
 from helpers import random_family
 
@@ -210,6 +213,10 @@ LAYERED_PINS = [
     ("max_union_size", {"n": 6, "u": 4}, 22, 1, katona(6, 4), 11),
     ("overflow_even", {"n": 9, "d": 2}, 7, 1, b_family(9, 2), 18),
     ("upper_layers", {"n": 7, "u": 4}, 21, 1, katona(7, 4), 3),
+    # two maximizers: the witness is the one with the smaller canonical key
+    ("overflow_even", {"n": 11, "d": 3}, 36, 2, b_family(11, 3), 1626),
+    # every free set counts, so including a member kills free sets
+    ("max_union_size", {"n": 9, "u": 5}, 74, 1, katona(9, 5), 465),
 ]
 
 
@@ -223,6 +230,17 @@ def test_layered_results_pinned(objective, params, optimum, maximizers, witness,
     assert cert.nodes_explored == nodes
     assert cert.proven_optimal and not cert.timed_out
     assert recheck(cert)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        cert = maximize("overflow_even", {"n": 9, "d": 2})
+        assert cert.proven_optimal
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_pruning_does_not_change_results():
@@ -285,10 +303,19 @@ def test_certificate_input_validation():
     good = maximize("overflow_even", {"n": 6, "d": 1}).to_json_dict()
     for key, bad in (("objective", "nonsense"), ("maximizers", "abc"),
                      ("maximizers", True), ("maximizers", 2.0), ("params", []),
-                     ("params", {"n": 6, "d": "1"})):
+                     ("params", {"n": 6, "d": "1"}),
+                     ("optimum", None), ("optimum", [1]), ("optimum", 1.5),
+                     ("optimum", True), ("optimum", "1.5"), ("optimum", " 1"),
+                     ("nodes", None), ("nodes", [3]), ("nodes", True), ("nodes", 3.0),
+                     ("elapsed_ms", None), ("elapsed_ms", "5"), ("elapsed_ms", False),
+                     ("proven_optimal", "no"), ("proven_optimal", 1),
+                     ("proven_optimal", None), ("timed_out", "no"), ("timed_out", 0),
+                     ("reduction", None), ("reduction", 3)):
         with pytest.raises(ValueError):
             SearchCertificate.from_json_dict({**good, key: bad})
     assert SearchCertificate.from_json_dict({**good, "maximizers": None}).maximizers is None
+    assert SearchCertificate.from_json_dict({**good, "optimum": 1}).optimum == 1
+    assert SearchCertificate.from_json_dict({**good, "optimum": "-2"}).optimum == -2
 
 
 def test_search_options_validation():
@@ -298,6 +325,18 @@ def test_search_options_validation():
         with pytest.raises(ValueError):
             SearchOptions(workers=workers)
     assert SearchOptions(time_limit=0, workers=1).time_limit == 0
+
+
+def test_overflow_even_10_4_certificate():
+    # the d = 4 rung, proven in 4 774 786 nodes: the base-[4] family is not
+    # optimal there
+    path = Path(__file__).parent / "data" / "overflow_even_10_4.json"
+    cert = SearchCertificate.from_json_dict(json.loads(path.read_text()))
+    assert (cert.objective, cert.params) == ("overflow_even", {"n": 10, "d": 4})
+    assert cert.proven_optimal and not cert.timed_out
+    assert cert.nodes_explored == 4_774_786
+    assert cert.optimum == 95 > d_even_overflow(10, 4) == 81
+    assert recheck(cert)
 
 
 def test_recheck_rejects_tampering():
