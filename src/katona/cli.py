@@ -59,7 +59,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 # flags whose text names a family file or a fraction, or lists elements
 _FLAG_READERS = {"input": _read_family, "input2": _read_family, "c": Fraction,
-                 "center": _parse_ints}
+                 "center": _parse_ints,
+                 "set": lambda text: mask_of(_parse_ints(text))}
 
 
 def _flags(args, names, what: str) -> list:
@@ -133,23 +134,23 @@ def _cmd_overflow(args) -> int:
     return 0
 
 
+# walks mode -> (function of the flags giving the output, flags in call order)
+_WALKS = {
+    "count": (lambda brute, *nktab: {"count": str(
+        (brute_hit_count if brute else reflection_count)(*nktab))},
+        ("brute", "n", "k", "t", "a", "b")),
+    "trace": (lambda mask, n: {"points": [list(p) for p in walk_of_set(mask, n).points]},
+              ("set", "n")),
+    "verify-hits": (lambda fam, t: {"t": t, "all_hit": family_walks_hit(fam, t)},
+                    ("input", "t")),
+}
+
+
 def _cmd_walks(args) -> int:
-    if args.mode == "count":
-        fn = brute_hit_count if args.brute else reflection_count
-        value = fn(args.n, args.k, args.t, args.a, args.b)
-        _emit({"count": str(value)}, args)
-        return 0
-    if args.mode == "trace":
-        mask = mask_of(_parse_ints(args.set))
-        w = walk_of_set(mask, args.n)
-        _emit({"points": [list(p) for p in w.points]}, args)
-        return 0
-    if args.mode == "verify-hits":
-        fam = _read_family(args.input)
-        holds = family_walks_hit(fam, args.t)
-        _emit({"t": args.t, "all_hit": holds}, args)
-        return 0 if holds else 1
-    raise ValueError(f"unknown walks mode {args.mode!r}")
+    fn, names = _WALKS[args.mode]
+    out = fn(*_flags(args, names, f"walks {args.mode}"))
+    _emit(out, args)
+    return 1 if out.get("all_hit") is False else 0
 
 
 # bound -> (function, flags in call order)
@@ -418,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("walks", help="walk counting and tracing")
-    p.add_argument("--mode", required=True, choices=("count", "trace", "verify-hits"))
+    p.add_argument("--mode", required=True, choices=tuple(_WALKS))
     for flag in ("n", "k", "t"):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--a", type=int, default=0)

@@ -4,10 +4,12 @@ Each objective is defined in one place: its `Objective` record in
 `OBJECTIVES`.  The record names the parameters (which the CLI turns into
 required flags), the pairwise relation its families satisfy, whether it is
 shift-invariant, the member sizes it counts, its seed constructions and its
-value function.  `maximize`, `recheck`, both engines and the CLI read the
-records and nothing else.  Each quantity (overflow, odd overflow, min-anchor
-avoidance, diametral overflow) has one evaluator on mask lists, shared by
-the engines, the seeds, `recheck` and the public `*_of` functions.
+value.  `maximize`, `recheck`, both engines and the CLI read the records and
+nothing else.  Every value is a minimum over anchors a of the members
+outside a's extremal family (one anchor for the counting objectives, an
+element x for odd overflow and diversity, a ball center for diametral
+overflow).  One evaluator, `_min_outside`, computes it on mask lists for
+the seeds, the layered leaves, `recheck` and the public `*_of` functions.
 
 Two engines back `maximize`:
 
@@ -29,10 +31,13 @@ Two engines back `maximize`:
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
-  graph).  Every objective here is monotone under adding members, so the
-  maximum over maximal families is the global maximum.  This is the
-  independent oracle for the restricted engine and the only proven route
-  for objectives not known to be shift-invariant.
+  graph).  Every value, a minimum of member counts, is monotone under
+  adding members, so the maximum over maximal families is the global
+  maximum.  This is the independent oracle for the restricted engine and
+  the only proven route for objectives not known to be shift-invariant.
+  With one pool bitset `out[a]` per anchor, a family R has the value
+  min_a |R & out[a]|, and by monotonicity a node (R, P, X) whose bound
+  min_a |(R | P) & out[a]| is below the incumbent is pruned.
 
 Certificates carry one witness (smallest canonical encoding among the
 maximizers found), the exact optimum, and enough metadata to be re-checked
@@ -44,10 +49,10 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     CapExceeded, SEARCH_CAP, SetFamily, diameter, family_from_json_dict,
@@ -61,75 +66,50 @@ _EXHAUSTIVE_POOL_CAP = 600
 
 
 # ---------------------------------------------------------------------------
-# evaluators on mask lists: the one implementation of each quantity
+# the one evaluator on mask lists
 
-def _count_from(masks: Sequence[int], low: int) -> int:
-    """Members of size at least low."""
-    return sum(1 for m in masks if m.bit_count() >= low)
-
-
-def _avoidance(n: int, masks: Sequence[int]) -> tuple[int, int | None]:
-    """min over anchors x in [n] of the members avoiding x, with the smallest
-    minimizing x; that is the member count minus the largest degree."""
-    if n == 0:
-        return len(masks), None
-    degree = [0] * n
-    for m in masks:
-        while m:
-            low = m & -m
-            degree[low.bit_length() - 1] += 1
-            m ^= low
-    top = max(degree)
-    return len(masks) - top, degree.index(top) + 1
-
-
-def _odd_overflow(n: int, d: int, masks: Sequence[int]) -> tuple[int, int | None]:
-    """min over anchors x of the members M with |M \\ {x}| > d, with the
-    smallest minimizing x.  Members above size d + 1 count for every x;
-    members of size d + 1 count exactly when they avoid x."""
-    avoiding, x = _avoidance(n, [m for m in masks if m.bit_count() == d + 1])
-    return _count_from(masks, d + 2) + avoiding, x
-
-
-def _diametral(n: int, u: int, masks: Sequence[int]) -> tuple[int, int]:
-    """min over centers A of the members outside the ball (even u) or double
-    ball (odd u) of radius u // 2 around A, with the smallest minimizing A.
-
-    The double ball ignores element 1, so the centers A and A ^ {1} give the
-    same count and only centers without 1 are tried.  A center's count stops
-    once it reaches the best so far, and the scan stops at 0.
-    """
-    d, odd = u // 2, u % 2
-    if odd:
-        masks = [m & ~1 for m in masks]
-    best, best_center = len(masks) + 1, 0
-    for center in range(0, 1 << n, 1 + odd):
+def _min_outside(obj: Objective, inst: _Instance, masks: Sequence[int],
+                 anchors: Iterable | None = None) -> tuple[int, int | None]:
+    """min over the anchors a of `obj` (or the given ones) of the members
+    outside a's extremal family, with the first minimizing anchor.  A count
+    stops once it reaches the best so far, and the scan stops at 0."""
+    outside = obj.outside
+    best, best_a = len(masks) + 1, None
+    for a in obj.anchors(inst) if anchors is None else anchors:
         v = 0
         for m in masks:
-            if (m ^ center).bit_count() > d:
+            if outside(inst, a, m):
                 v += 1
                 if v >= best:
                     break
         else:
-            best, best_center = v, center
-            if v == 0:
+            best, best_a = v, a
+            if not v:
                 break
-    return best, best_center
+    return best, best_a
+
+
+def _of(name: str, fam: SetFamily, u: int,
+        anchors: Iterable | None = None) -> tuple[int, int | None]:
+    """`_min_outside` of the objective `name` on fam at union bound u."""
+    return _min_outside(OBJECTIVES[name], _Instance(fam.n, u, ()), fam.members,
+                        anchors)
 
 
 def overflow_even_of(fam: SetFamily, d: int) -> int:
     """Members of size above d, i.e. outside the even Katona family."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    return _count_from(fam.members, d + 1)
+    return _of("overflow_even", fam, 2 * d)[0]
 
 
 def overflow_odd_of(fam: SetFamily, d: int) -> tuple[int, int | None]:
     """min over anchors x of the number of members M with |M \\ {x}| > d,
-    together with the smallest minimizing x."""
+    together with the smallest minimizing x (None when n = 0)."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    return _odd_overflow(fam.n, d, fam.members)
+    value, a = _of("overflow_odd", fam, 2 * d + 1)
+    return value, a.bit_length() or None
 
 
 def diametral_overflow(fam: SetFamily, u: int) -> tuple[int, int]:
@@ -140,12 +120,13 @@ def diametral_overflow(fam: SetFamily, u: int) -> tuple[int, int]:
     if fam.n > DIAMETRAL_CENTER_CAP:
         raise CapExceeded(
             f"center enumeration needs n <= {DIAMETRAL_CENTER_CAP}, got {fam.n}")
-    return _diametral(fam.n, u, fam.members)
+    return _of("diametral_overflow", fam, u)
 
 
 def katona_overflow_of(fam: SetFamily, u: int) -> int:
     """Members outside the Katona family of the same parity: size > d for
-    u = 2d, |M \\ {1}| > d for u = 2d + 1.
+    u = 2d, |M \\ {1}| > d for u = 2d + 1.  That is the diametral count at
+    the empty center.
 
     For a complex this equals the diametral overflow (the empty center is
     always a minimizing ball center once down-shifts fix the family).  The
@@ -153,8 +134,7 @@ def katona_overflow_of(fam: SetFamily, u: int) -> int:
     """
     if u < 1:
         raise ValueError(f"need u >= 1, got {u}")
-    masks = [m & ~1 for m in fam.members] if u % 2 else fam.members
-    return _count_from(masks, u // 2 + 1)
+    return _of("diametral_overflow", fam, u, (0,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +147,10 @@ class _Instance:
     n: int
     u: int | None                      # None only for intersecting families
     levels: tuple[int, ...]            # the layered engine's constrained levels
+    d: int | None = field(init=False)  # u // 2, a field: evaluators read it per member
 
-    @property
-    def d(self) -> int:
-        return self.u // 2
+    def __post_init__(self):
+        object.__setattr__(self, "d", None if self.u is None else self.u // 2)
 
     @property
     def free_levels(self) -> tuple[int, ...]:
@@ -227,11 +207,15 @@ _INTERSECT = _Relation(
 class Objective:
     """One search objective; `OBJECTIVES` holds the only definition of each.
 
-    The value of a feasible family never exceeds its number of members of
-    size at least `counted_from` (with equality for the counting
-    objectives); the layered engine bounds with that count.  `sizes` are
-    the member sizes the exhaustive engine enumerates: members of other
-    sizes are infeasible or cannot raise the value.
+    The value of a family is a minimum over anchors a, taken in the order
+    `anchors` gives them, of its members outside a's extremal family: the
+    members M with `outside(inst, a, M)`.  A minimum of member counts never
+    decreases when members are added, which both engines rely on.  The
+    value never exceeds the number of members of size at least
+    `counted_from` (with equality for the one-anchor objectives); the
+    layered engine bounds with that count.  `sizes` are the member sizes the
+    exhaustive engine enumerates: members of other sizes are infeasible or
+    cannot raise the value.
     """
 
     params: tuple[str, ...]            # in the order `instance` takes them
@@ -241,7 +225,8 @@ class Objective:
     counted_from: Callable[[_Instance], int]
     sizes: Callable[[_Instance], range | tuple[int, ...]]
     seeds: Callable[[_Instance], list[SetFamily]]
-    value: Callable[[_Instance, Sequence[int]], int]
+    outside: Callable[[_Instance, int, int], bool]   # instance, anchor, member
+    anchors: Callable[[_Instance], Iterable[int]] = lambda i: (0,)   # one by default
     max_n: int = SEARCH_CAP
 
 
@@ -249,51 +234,58 @@ def _katona_seeds(i: _Instance) -> list[SetFamily]:
     return [cons.katona(i.n, i.u)]
 
 
-def _size(i: _Instance, masks: Sequence[int]) -> int:
-    return len(masks)
-
-
 def _upper_from(i: _Instance) -> int:
     """Upper layers start at r, where u = 2r or u = 2r - 1."""
     return (i.u + 1) // 2
+
+
+def _points(i: _Instance) -> list[int]:
+    """The anchors x in [n], as masks 1 << (x - 1); the empty mask when n = 0."""
+    return [1 << x for x in range(i.n)] or [0]
 
 
 OBJECTIVES: dict[str, Objective] = {
     "max_union_size": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         counted_from=lambda i: 0, sizes=lambda i: range(i.u + 1),
-        seeds=_katona_seeds, value=_size),
+        seeds=_katona_seeds, outside=lambda i, a, m: True),
     "max_diameter_size": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=True,
         counted_from=lambda i: 0, sizes=lambda i: range(i.n + 1),
-        seeds=_katona_seeds, value=_size),
+        seeds=_katona_seeds, outside=lambda i, a, m: True),
     "overflow_even": Objective(
         ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
         counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=lambda i: [cons.b_family(i.n, i.d)]
         + ([cons.d_even(i.n, i.d)] if i.d >= 2 else []),
-        value=lambda i, masks: _count_from(masks, i.d + 1)),
+        outside=lambda i, a, m: m.bit_count() > i.d),
+    # |M \ {x}| > d: members above size d + 1 count for every x
     "overflow_odd": Objective(
         ("n", "d"), _overflow_instance(1), _UNION, shift_invariant=False,
         counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=lambda i: [cons.g_family(i.n, i.d)],
-        value=lambda i, masks: _odd_overflow(i.n, i.d, masks)[0]),
+        anchors=_points, outside=lambda i, a, m: (m & ~a).bit_count() > i.d),
     "upper_layers": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         counted_from=_upper_from, sizes=lambda i: range(_upper_from(i), i.u + 1),
-        seeds=_katona_seeds,
-        value=lambda i, masks: _count_from(masks, _upper_from(i))),
+        # size >= r, where u = 2r or 2r - 1: that is 2 size >= u
+        seeds=_katona_seeds, outside=lambda i, a, m: 2 * m.bit_count() >= i.u),
+    # min-anchor avoidance: the members avoiding x
     "diversity": Objective(
         ("n", "k"), _intersecting_instance, _INTERSECT, shift_invariant=False,
         counted_from=lambda i: i.levels[0], sizes=lambda i: i.levels,
         seeds=lambda i: [cons.triangle(i.n, i.levels[0])],
-        value=lambda i, masks: _avoidance(i.n, masks)[0]),
+        anchors=_points, outside=lambda i, a, m: not m & a),
+    # members outside the ball (even u) or double ball (odd u) of radius d
+    # around A.  The double ball ignores element 1, so A and A ^ {1} count
+    # alike and only even centers are tried, the colex-smallest first.
     "diametral_overflow": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=False,
         counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.n + 1),
         seeds=lambda i: ([cons.b_family(i.n, i.d)] if i.u % 2 == 0 else
                          [cons.g_family(i.n, i.d)] if i.d >= 1 else []),
-        value=lambda i, masks: _diametral(i.n, i.u, masks)[0],
+        anchors=lambda i: range(0, 1 << i.n, 1 + i.u % 2),
+        outside=lambda i, a, m: ((m ^ a) & ~(i.u % 2)).bit_count() > i.d,
         max_n=DIAMETRAL_CENTER_CAP),
 }
 
@@ -320,9 +312,11 @@ def _instance(obj: Objective, params: dict) -> _Instance:
 class SearchOptions:
     """How `maximize` searches.
 
-    `time_limit` (seconds) bounds the whole call, setup included.  The
-    search runs in one process, so `workers` accepts only 1; the field
-    remains so that callers which pass `workers=1` keep working.
+    `time_limit` (seconds) bounds the whole call, setup included; None or
+    inf is no limit.  The search runs in one process, so `workers` accepts
+    only 1; the field remains so that callers which pass `workers=1` keep
+    working.  `use_pruning` governs both engines' bounds; turning it off
+    changes only `nodes_explored`.
     """
 
     time_limit: float | None = None
@@ -331,7 +325,8 @@ class SearchOptions:
     use_pruning: bool = True
 
     def __post_init__(self):
-        if self.time_limit is not None and self.time_limit < 0:
+        # NaN fails every comparison, so `not >= 0` rejects it too; inf is no limit
+        if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError(f"need time_limit >= 0, got {self.time_limit}")
         if self.workers != 1:
             raise ValueError(
@@ -432,7 +427,7 @@ class _Incumbent:
     def __init__(self, obj: Objective, inst: _Instance):
         seeds = [fam for fam in obj.seeds(inst) if obj.relation.holds(inst, fam)]
         seeds.append(SetFamily(inst.n, ()))
-        values = [obj.value(inst, fam.members) for fam in seeds]
+        values = [_min_outside(obj, inst, fam.members)[0] for fam in seeds]
         self.value = max(values)
         self.masks = seeds[values.index(self.value)].members   # first seed on ties
         self.key = None                # the witness's key, once a family is searched
@@ -535,7 +530,7 @@ class _LayeredDFS:
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
         self.inst = inst
-        self.value = obj.value
+        self.obj = obj
         self.use_pruning = use_pruning
         n, u = inst.n, inst.u
         # fits(m, members): m is compatible with every member
@@ -617,7 +612,7 @@ class _LayeredDFS:
         out = included + [self.free[b] for b in _bits(alive)]
         out += [a for a in self.uncounted if self.fits(a, included)]
         masks = tuple(sorted(out))
-        incumbent.offer(self.value(self.inst, masks), masks)
+        incumbent.offer(_min_outside(self.obj, self.inst, masks)[0], masks)
 
     def run(self, incumbent: _Incumbent, deadline: float | None) -> bool:
         """Offer every leaf the bounds leave open to the incumbent; True when
@@ -726,24 +721,41 @@ class _LayeredDFS:
 # ---------------------------------------------------------------------------
 # unrestricted exhaustive engine (maximal feasible families)
 
-def _exhaustive(pool_masks: list[int], compat, value, incumbent: _Incumbent,
-                deadline: float | None) -> tuple[int, bool]:
-    """Offer every maximal feasible family to the incumbent; return how many
-    were visited and whether the deadline stopped the enumeration."""
-    nv = len(pool_masks)
-    if nv > _EXHAUSTIVE_POOL_CAP:
+def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int]]:
+    """The exhaustive engine's candidate masks, ascending, and for each anchor
+    a the bitset of the candidates outside a's extremal family."""
+    sizes = obj.sizes(inst)
+    pool = [m for m in range(1 << inst.n) if m.bit_count() in sizes]
+    if len(pool) > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
-            f"exhaustive pool of {nv} candidates exceeds {_EXHAUSTIVE_POOL_CAP}; "
-            "use the initial-complex search")
+            f"exhaustive pool of {len(pool)} candidates exceeds "
+            f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
+    out = [sum(1 << i for i, m in enumerate(pool) if obj.outside(inst, a, m))
+           for a in obj.anchors(inst)]
+    return pool, out
+
+
+def _exhaustive(pool: list[int], compat, out: list[int], incumbent: _Incumbent,
+                deadline: float | None, use_pruning: bool) -> tuple[int, bool]:
+    """Value each maximal feasible family R (a pool bitset) that the bound
+    leaves open as min_a |R & out[a]| and offer it to the incumbent; return
+    how many were valued and whether the deadline stopped the enumeration.
+
+    With pruning, a node (R, P, X) returns when min_a |(R | P) & out[a]| <
+    incumbent.value: each maximal family below it is R | S with S within P,
+    and a minimum of counts is monotone under adding members.  The test is
+    strict, so every tie is still offered.
+    """
+    nv = len(pool)
     adj = [0] * nv
     for i in range(nv):
         for j in range(i + 1, nv):
-            if compat(pool_masks[i], pool_masks[j]):
+            if compat(pool[i], pool[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     start = 0
     for i in range(nv):
-        if compat(pool_masks[i], pool_masks[i]):
+        if compat(pool[i], pool[i]):
             start |= 1 << i
     cliques = calls = 0
 
@@ -754,9 +766,15 @@ def _exhaustive(pool_masks: list[int], compat, value, incumbent: _Incumbent,
             _check_deadline(deadline)
         if p == 0 and x == 0:
             cliques += 1
-            members = [pool_masks[i] for i in range(nv) if (r >> i) & 1]
-            incumbent.offer(value(members), members)
+            value = min((r & o).bit_count() for o in out)
+            if value >= incumbent.value:
+                incumbent.offer(value, [pool[i] for i in _bits(r)])
             return
+        if use_pruning:
+            rp = r | p
+            for o in out:
+                if (rp & o).bit_count() < incumbent.value:
+                    return
         pux = p | x
         best_u, best_deg = -1, -1
         mm = pux
@@ -814,12 +832,11 @@ def maximize(objective: str, params: dict,
         proven = obj.shift_invariant and not timed_out
         reduction = obj.relation.reduction
     else:
-        sizes = obj.sizes(inst)
-        pool = [m for m in range(1 << inst.n) if m.bit_count() in sizes]
+        pool, out = _pool(obj, inst)
         compatible = obj.relation.compatible
         nodes, timed_out = _exhaustive(
-            pool, lambda a, b: compatible(a, b, inst.u),
-            lambda masks: obj.value(inst, masks), incumbent, deadline)
+            pool, lambda a, b: compatible(a, b, inst.u), out, incumbent,
+            deadline, options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
         objective=objective, params={k: int(v) for k, v in params.items()},
@@ -892,4 +909,4 @@ def recheck(cert: SearchCertificate) -> bool:
     fam = cert.witness
     if fam.n != inst.n or not obj.relation.holds(inst, fam):
         return False
-    return obj.value(inst, fam.members) == cert.optimum
+    return _min_outside(obj, inst, fam.members)[0] == cert.optimum

@@ -200,7 +200,15 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
             (["check", "--pred", "u-union", "--input", str(fam)],
              "check u-union needs --u"),
             (["search", "--objective", "overflow-odd", "--n", "6"],
-             "objective overflow-odd needs --d")):
+             "objective overflow-odd needs --d"),
+            (["walks", "--mode", "count", "--n", "5", "--k", "2"],
+             "walks count needs --t"),
+            (["walks", "--mode", "count", "--n", "5", "--k", "2", "--brute"],
+             "walks count needs --t"),
+            (["walks", "--mode", "trace", "--k", "2", "--set", "1,2"],
+             "walks trace needs --n"),
+            (["walks", "--mode", "verify-hits", "--input", str(fam)],
+             "walks verify-hits needs --t")):
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err
 
@@ -224,6 +232,8 @@ def test_table_format(capsys):
 def test_search_option_and_certificate_input_errors(tmp_path, capsys):
     argv = ["search", "--objective", "max-union-size", "--n", "5", "--u", "2"]
     assert run(argv + ["--time-limit", "-1"]) == 2
+    assert run(argv + ["--time-limit", "nan"]) == 2
+    assert run(argv + ["--time-limit", "inf"]) == 0
     assert run(argv + ["--workers", "0"]) == 2
     assert run(argv + ["--workers", "2"]) == 2
     assert run(argv + ["--workers", "1"]) == 0

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
     b_family, ball, d_even, d_even_overflow, diameter, diametral_overflow,
-    down_closure, family_from_sets, g_family, katona, katona_bound,
+    down_closure, elements_of, family_from_sets, g_family, katona, katona_bound,
     katona_overflow_of, maximize, overflow_even_of, overflow_odd_of, recheck,
-    triangle, verify_hilton,
+    search, triangle, verify_hilton,
 )
 from helpers import random_family
 
@@ -72,6 +73,68 @@ def test_complexes_have_equal_overflows():
         fam = down_closure(random_family(rng, n, 8))
         for u in range(1, n):
             assert katona_overflow_of(fam, u) == diametral_overflow(fam, u)[0]
+
+
+@cache
+def _ball_members(n: int, center: int, u: int) -> frozenset[int]:
+    return frozenset(ball(n, elements_of(center), u).members)
+
+
+def _first_min(counts: list[int]) -> tuple[int, int]:
+    return min(counts), counts.index(min(counts))
+
+
+def test_evaluators_match_their_definitions():
+    # brute-force counts straight from the definitions: sets of elements for
+    # the anchored families, the ball and Katona constructions for the rest
+    rng = random.Random(43)
+    diversity, upper = search.OBJECTIVES["diversity"], search.OBJECTIVES["upper_layers"]
+    for _ in range(250):
+        n = rng.randrange(0, 8)
+        fam = random_family(rng, n, 12)
+        members = set(fam.members)
+        sets = [set(elements_of(m)) for m in fam.members]
+        for d in range(1, 4):
+            assert overflow_even_of(fam, d) == sum(len(s) > d for s in sets)
+            by_x = [sum(len(s - {x}) > d for s in sets) for x in range(1, n + 1)]
+            value, i = _first_min(by_x) if n else (sum(len(s) > d for s in sets), -1)
+            assert overflow_odd_of(fam, d) == (value, i + 1 if n else None)
+        for u in range(1, n):
+            by_center = [len(members - _ball_members(n, a, u)) for a in range(1 << n)]
+            assert diametral_overflow(fam, u) == _first_min(by_center)
+            assert katona_overflow_of(fam, u) == len(members - set(katona(n, u).members))
+            inst = search._instance(upper, {"n": n, "u": u})
+            r = (u + 1) // 2                  # u = 2r or u = 2r - 1
+            assert search._min_outside(upper, inst, fam.members)[0] == sum(
+                len(s) >= r for s in sets)
+        if n >= 3:
+            inst = search._instance(diversity, {"n": n, "k": 1})
+            value, i = _first_min([sum(x not in s for s in sets) for x in range(1, n + 1)])
+            assert search._min_outside(diversity, inst, fam.members) == (value, 1 << i)
+
+
+def test_exhaustive_bitset_value_matches_mask_list_value():
+    # the exhaustive engine values a family R, a bitset over its pool, as
+    # min over anchors a of |R & out[a]|
+    rng = random.Random(44)
+    for obj in search.OBJECTIVES.values():
+        for n in range(1, 8):
+            for v in range(n + 1):
+                try:
+                    inst = search._instance(obj, dict(zip(obj.params, (n, v))))
+                except ValueError:
+                    continue
+                pool, out = search._pool(obj, inst)
+                compatible = obj.relation.compatible
+                for _ in range(4):
+                    r, masks = 0, []
+                    for i in rng.sample(range(len(pool)), len(pool) // 2):
+                        m = pool[i]
+                        if all(compatible(m, o, inst.u) for o in masks + [m]):
+                            r |= 1 << i
+                            masks.append(m)
+                    assert (min((r & o).bit_count() for o in out)
+                            == search._min_outside(obj, inst, sorted(masks))[0])
 
 
 def test_diametral_cap():
@@ -232,6 +295,35 @@ def test_layered_results_pinned(objective, params, optimum, maximizers, witness,
     assert recheck(cert)
 
 
+# unrestricted (Bron-Kerbosch) runs: optimum, witness (hex masks) and the
+# number of maximal families the unpruned engine offers
+EXHAUSTIVE_PINS = [
+    ("diversity", {"n": 7, "k": 3}, 5, 6127, "7 b 15 1a 1c 26 29 2c 31 32"),
+    ("diversity", {"n": 8, "k": 3}, 5, 23936,
+     "7 b d e 13 15 16 23 25 26 43 45 46 83 85 86"),
+    ("diametral_overflow", {"n": 5, "u": 2}, 1, 192, "0 1 2 3"),
+    ("diametral_overflow", {"n": 6, "u": 3}, 5, 10752, "0 2 c 14 18 e 16 1a"),
+    ("overflow_odd", {"n": 6, "d": 2}, 10, 1024,
+     "7 b d e 13 15 16 19 1a 1c f 17 1b 1d 1e 1f"),
+    ("overflow_odd", {"n": 7, "d": 2}, 10, 6127,
+     "7 b d e 13 15 16 19 1a 1c f 17 1b 1d 1e 1f"),
+    ("overflow_even", {"n": 6, "d": 2}, 5, 30, "7 b d e f"),
+    ("max_union_size", {"n": 5, "u": 3}, 10, 25, "0 1 2 4 8 10 3 5 9 11"),
+]
+
+
+@pytest.mark.parametrize("objective,params,optimum,nodes,witness", EXHAUSTIVE_PINS)
+def test_exhaustive_results_pinned(objective, params, optimum, nodes, witness):
+    cert = maximize(objective, params, SearchOptions(
+        restrict_to_initial_complexes=False, use_pruning=False))
+    assert cert.optimum == optimum and cert.nodes_explored == nodes
+    assert cert.witness == SetFamily.from_masks(
+        params["n"], [int(h, 16) for h in witness.split()])
+    assert cert.proven_optimal and not cert.timed_out
+    assert cert.maximizers is None and cert.reduction_used == "none"
+    assert recheck(cert)
+
+
 def test_search_leaves_the_recursion_limit_alone():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -259,6 +351,28 @@ def test_pruning_does_not_change_results():
         assert pruned.maximizers == free.maximizers
         assert pruned.witness == free.witness
         assert pruned.nodes_explored <= free.nodes_explored
+
+
+def test_exhaustive_pruning_does_not_change_results():
+    on = SearchOptions(restrict_to_initial_complexes=False)
+    off = SearchOptions(restrict_to_initial_complexes=False, use_pruning=False)
+    fewer = 0
+    for objective, params in (
+            ("max_union_size", {"n": 5, "u": 3}),
+            ("max_diameter_size", {"n": 5, "u": 3}),
+            ("overflow_even", {"n": 6, "d": 2}),
+            ("upper_layers", {"n": 5, "u": 3}),
+            ("overflow_odd", {"n": 7, "d": 2}),
+            ("diversity", {"n": 7, "k": 3}),
+            ("diametral_overflow", {"n": 6, "u": 3})):
+        pruned = maximize(objective, params, on)
+        free = maximize(objective, params, off)
+        assert pruned.optimum == free.optimum
+        assert pruned.witness == free.witness
+        assert pruned.proven_optimal and free.proven_optimal
+        assert pruned.nodes_explored <= free.nodes_explored
+        fewer += pruned.nodes_explored < free.nodes_explored
+    assert fewer
 
 
 def test_time_limit_yields_honest_lower_bound():
@@ -319,8 +433,10 @@ def test_certificate_input_validation():
 
 
 def test_search_options_validation():
-    with pytest.raises(ValueError):
-        SearchOptions(time_limit=-1)
+    for time_limit in (-1, float("nan"), float("-inf")):
+        with pytest.raises(ValueError):
+            SearchOptions(time_limit=time_limit)
+    assert SearchOptions(time_limit=float("inf")).time_limit == float("inf")
     for workers in (0, 2):
         with pytest.raises(ValueError):
             SearchOptions(workers=workers)
