@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Search certificates on a fixed small grid, as one comparable JSON file.
+
+Every objective runs on every valid parameter pair with n <= 8 on the
+initial-complex engine with pruning, and with n <= 7 without pruning;
+`--unrestricted` adds the exhaustive engine, pruned and unpruned, for
+n <= 7.  Each record holds the certificate without `elapsed_ms`, so two
+builds of the search agree exactly when their output files are
+byte-identical (`cmp a.json b.json`), `nodes` included.  A run stopped by
+`--time-limit` is recorded only as timed out, because how far it got
+depends on the machine; a run refused by a resource cap is recorded with
+the cap's message.
+
+    PYTHONPATH=src python3 scripts/certificate_grid.py --out grid.json
+"""
+
+import argparse
+import json
+import sys
+import time
+
+from katona import CapExceeded, SearchOptions, maximize, search
+
+# (label, restrict_to_initial_complexes, use_pruning, largest n)
+ENGINES = (("restricted", True, True, 8), ("restricted_unpruned", True, False, 7))
+UNRESTRICTED = (("unrestricted", False, True, 7),
+                ("unrestricted_unpruned", False, False, 7))
+
+
+def grid(engines, time_limit):
+    """Yield one record per valid (objective, parameters, engine)."""
+    for label, restrict, pruning, max_n in engines:
+        options = SearchOptions(time_limit=time_limit, use_pruning=pruning,
+                                restrict_to_initial_complexes=restrict)
+        for name, obj in search.OBJECTIVES.items():
+            for n in range(1, max_n + 1):
+                for p in range(1, n + 1):
+                    params = dict(zip(obj.params, (n, p)))
+                    record = {"engine": label, "objective": name, "params": params}
+                    try:
+                        cert = maximize(name, params, options)
+                    except CapExceeded as exc:
+                        record["capped"] = str(exc)
+                    except ValueError:
+                        continue            # not a valid parameter pair
+                    else:
+                        if cert.timed_out:
+                            record["timed_out"] = True
+                        else:
+                            out = cert.to_json_dict()
+                            del out["elapsed_ms"]
+                            record["certificate"] = out
+                    yield record
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--unrestricted", action="store_true",
+                    help="add the exhaustive engine for n <= 7")
+    ap.add_argument("--time-limit", type=float, default=120.0,
+                    help="seconds per run (default 120)")
+    args = ap.parse_args()
+    engines = ENGINES + (UNRESTRICTED if args.unrestricted else ())
+    t0 = time.process_time()
+    records = list(grid(engines, args.time_limit))
+    with open(args.out, "w") as fh:
+        json.dump(records, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    timed_out = sum("timed_out" in r for r in records)
+    capped = sum("capped" in r for r in records)
+    print(f"{len(records)} runs ({timed_out} timed out, {capped} capped) in "
+          f"{time.process_time() - t0:.1f} s CPU -> {args.out}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -57,8 +57,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _fraction(text: str) -> Fraction:
+    """A rational like 11/10; a zero denominator is bad input, not a crash."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 # flags whose text names a family file or a fraction, or lists elements
-_FLAG_READERS = {"input": _read_family, "input2": _read_family, "c": Fraction,
+_FLAG_READERS = {"input": _read_family, "input2": _read_family, "c": _fraction,
                  "center": _parse_ints,
                  "set": lambda text: mask_of(_parse_ints(text))}
 

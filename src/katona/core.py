@@ -139,17 +139,26 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
 
 
 def is_u_union(fam: SetFamily, u: int) -> bool:
-    """Every two members (including a member with itself) have union <= u."""
+    """Every two members (including a member with itself) have union <= u.
+
+    |A | B| <= |A| + |B|, so only members whose sizes sum above u are
+    compared; members are grouped by size, whatever their order.
+    """
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
-    ms = fam.members
-    for m in ms:
-        if m.bit_count() > u:
-            return False
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            if (a | b).bit_count() > u:
-                return False
+    by_size: dict[int, list[int]] = {}
+    for m in fam.members:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    if any(s > u for s in by_size):
+        return False
+    for s, group in by_size.items():
+        for t, other in by_size.items():
+            if t < s or s + t <= u:
+                continue
+            for i, a in enumerate(group):
+                for b in group[i + 1:] if t == s else other:
+                    if (a | b).bit_count() > u:
+                        return False
     return True
 
 

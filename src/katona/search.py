@@ -24,10 +24,14 @@ Two engines back `maximize`:
   pruning never changes the optimum.
 
   The kernel, `_LayeredDFS`, numbers the candidate sets by level and then
-  in `combinations` order, keeps an int bitset `ready` of the candidates
-  whose needed sets are all included, branches on the lowest ready index
-  compatible with the included members, and runs on an explicit stack
-  with one frame per included member instead of recursing.
+  in `combinations` order, with the free sets after them, and works on int
+  bitsets over that index space: `ready` holds the candidates whose needed
+  sets are all included, `has[x]` the sets containing element x, and
+  `blocked` the sets incompatible with an included member, the OR of
+  per-candidate incompatibility bitsets counted from `has` by a
+  bit-sliced adder on first use.  It branches on the lowest ready index
+  outside `blocked`, and runs on an explicit stack with one frame per
+  included member instead of recursing.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -50,6 +54,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -473,29 +478,6 @@ def _skip_sets(n: int, k: int) -> dict[int, int]:
     return out
 
 
-def _immediate_preds(mask: int) -> tuple[int, ...]:
-    """Covers below in the coordinatewise order: one element slides down one slot."""
-    out = []
-    m = mask
-    while m:
-        bit = m & (-m)
-        m ^= bit
-        below = bit >> 1
-        if below and not mask & below:
-            out.append((mask ^ bit) | below)
-    return tuple(out)
-
-
-def _shadow_masks(mask: int) -> tuple[int, ...]:
-    out = []
-    m = mask
-    while m:
-        bit = m & (-m)
-        out.append(mask ^ bit)
-        m ^= bit
-    return tuple(out)
-
-
 _CANDIDATE_CAP = 20_000
 
 
@@ -507,88 +489,110 @@ def _bits(x: int):
         x ^= low
 
 
+@lru_cache(maxsize=64)
+def _level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The k-subsets of [n] as masks in `combinations` order, and for each
+    element x in [0, n) the bitset of those that contain x.
+
+    The k-sets of {a..n-1} are those that start with a, that is {a} plus
+    the (k-1)-sets of {a+1..n-1}, followed by the k-sets of {a+1..n-1}; a
+    memoised recursion on (a, k) assembles each bitset from the two parts.
+    The tables are cached, so repeated searches, and the witnesses they
+    return, share one set of mask objects.
+    """
+    @cache
+    def has(a: int, k: int) -> tuple[int, ...]:
+        if k == 0 or k > n - a:
+            return (0,) * (n - a)
+        first = comb(n - a - 1, k - 1)
+        return ((1 << first) - 1,) + tuple(
+            p | q << first for p, q in zip(has(a + 1, k - 1), has(a + 1, k)))
+    return tuple(map(sum, combinations([1 << x for x in range(n)], k))), has(0, k)
+
+
 class _LayeredDFS:
-    """The layered branch-and-bound, on candidate indices and int bitsets.
+    """The layered branch-and-bound, on int bitsets over one index space.
 
     Candidates are the sets of the constrained levels, by level and within
-    a level in `combinations` order; index i is one candidate.  A candidate
-    needs its immediate predecessors and, above the lowest level, its
-    shadow; every need has a smaller index.  `ready` is the bitset of the
-    candidates whose needs are all included; including i counts down
-    `missing` for the candidates in `deps[i]` and ORs in those that become
-    ready.  A ready candidate is feasible when it is compatible with every
-    included member, checked lazily in index order.
+    a level in `combinations` order; index i < N is one candidate.  The
+    free sets (the levels below, completed greedily at a leaf) take the
+    indices from N on, ascending by size, and `counted` marks those of size
+    at least `counted_from`.  `has[x]` is the bitset of the sets that
+    contain element x, and `_incompat(j)` the sets incompatible with
+    candidate j, built from `has` on j's first inclusion and cached.
+    `blocked` is the OR of `_incompat` over the included members, so a set
+    is compatible with all of them exactly when its bit is clear.
 
-    A node at pos branches on the first feasible candidate j >= pos: include
-    j, then exclude it; either way the child starts at j + 1.  The special
-    (gap/skip) candidates in [pos, j) and an excluded special j lower their
-    layer caps in index order, with a prune check after each.  The search
-    runs on an explicit stack with one frame per included candidate: the
-    exclude branch is the node's last step, so its child shares the frame,
-    and the cap restores of the chain join the frame's restore list.
+    A candidate needs its immediate predecessors and, above the lowest
+    level, its shadow; every need has a smaller index.  `ready` is the
+    bitset of the candidates whose needs are all included; including i
+    counts down `missing` for the candidates in `deps[i]` (built on i's
+    first inclusion) and ORs in those that become ready.
+
+    A node at pos branches on the first ready, unblocked candidate j >= pos:
+    include j, then exclude it; either way the child starts at j + 1.  The
+    special (gap/skip) candidates in [pos, j) and an excluded special j
+    lower their layer caps in index order, with a prune check after each.
+    The search runs on an explicit stack with one frame per included
+    candidate: the exclude branch is the node's last step, so its child
+    shares the frame, and the cap restores of the chain join the frame's
+    restore list.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
         self.inst = inst
         self.obj = obj
         self.use_pruning = use_pruning
-        n, u = inst.n, inst.u
-        # fits(m, members): m is compatible with every member
-        if u is None:
-            self.fits = lambda m, members: all(m & x for x in members)
-        else:
-            self.fits = lambda m, members: all(
-                (m | x).bit_count() <= u for x in members)
-        self.masks: list[int] = []
+        n = inst.n
+        self.N = sum(comb(n, k) for k in inst.levels)
+        if self.N > _CANDIDATE_CAP:
+            raise CapExceeded(
+                f"{self.N} layer candidates exceed the cap of {_CANDIDATE_CAP}")
+        self.masks: list[int] = []         # every set of the index space
         self.level_of: list[int] = []      # index into inst.levels
         self.spans: list[tuple[int, int]] = []   # each level's [start, end)
+        self.missing0: list[int] = []
         self.caps0: list[int] = []
         self.special_cap: dict[int, int] = {}    # index -> gap/skip cap
-        self.specials = 0
-        for li, k in enumerate(inst.levels):
+        self.has = [0] * n
+        self.counted = 0
+        self.level_bits: list[tuple[int, int]] = []   # (size, the level's bitset)
+        low = obj.counted_from(inst)
+        for li, k in enumerate(inst.levels + inst.free_levels):
+            start = len(self.masks)
+            level, has = _level(n, k)
+            self.masks += level
+            span = ((1 << len(level)) - 1) << start
+            self.level_bits.append((k, span))
+            for x, h in enumerate(has):
+                self.has[x] |= h << start
+            if li >= len(inst.levels):     # a free level
+                if k >= low:
+                    self.counted |= span
+                continue
             t = self._fact_t(k)
             cap = comb(n, k)
             if t >= 1:
                 cap = min(cap, comb(n, k - t))
             self.caps0.append(cap)
-            sp = dict(_gap_sets(n, k))
+            # the immediate predecessors, plus the shadow above the lowest level
+            extra = k if li else 0
+            self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + extra
+                              for m in level]
+            self.level_of += [li] * len(level)
+            self.spans.append((start, len(self.masks)))
+        self.index = {m: i for i, m in enumerate(self.masks[:self.N])}
+        for k in inst.levels:
+            sp = _gap_sets(n, k)
             for m, c in _skip_sets(n, k).items():
                 sp[m] = min(sp.get(m, c), c)
-            start = len(self.masks)
-            for c in combinations(range(1, n + 1), k):
-                m = mask_of(c)
-                if m in sp:
-                    self.special_cap[len(self.masks)] = sp[m]
-                    self.specials |= 1 << len(self.masks)
-                self.masks.append(m)
-                self.level_of.append(li)
-            self.spans.append((start, len(self.masks)))
-        self.N = len(self.masks)
-        if self.N > _CANDIDATE_CAP:
-            raise CapExceeded(
-                f"{self.N} layer candidates exceed the cap of {_CANDIDATE_CAP}")
-        index = {m: i for i, m in enumerate(self.masks)}
-        self.deps: list[list[int]] = [[] for _ in range(self.N)]
-        self.missing0 = []
-        self.ready0 = 0
-        for j, m in enumerate(self.masks):
-            needs = _immediate_preds(m)
-            if self.level_of[j] > 0:
-                needs += _shadow_masks(m)
-            for need in needs:
-                self.deps[index[need]].append(j)
-            self.missing0.append(len(needs))
-            if not needs:
-                self.ready0 |= 1 << j
-        # free sets below the constrained levels: those that count toward the
-        # bound are tracked as a bitset, with a kill mask per candidate
-        low = obj.counted_from(inst)
-        self.free: list[int] = []
-        self.uncounted: list[int] = []
-        for k in inst.free_levels:
-            out = self.free if k >= low else self.uncounted
-            out.extend(mask_of(c) for c in combinations(range(1, n + 1), k))
-        self.kill: list[int | None] = [None] * self.N
+            for m, c in sp.items():
+                self.special_cap[self.index[m]] = c
+        self.specials = sum(1 << i for i in self.special_cap)
+        self.ready0 = sum(1 << i for i, c in enumerate(self.missing0) if not c)
+        self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
+        self.deps: list[list[int] | None] = [None] * self.N
+        self.incompat: list[int | None] = [None] * self.N
 
     def _fact_t(self, k: int) -> int:
         """Layer k of a u-union family is (2(k - d) - h)-intersecting for
@@ -598,21 +602,67 @@ class _LayeredDFS:
             return 1
         return 2 * (k - u // 2) - u % 2
 
-    def _kill(self, j: int) -> int:
-        """The counted free sets incompatible with candidate j."""
-        km = self.kill[j]
-        if km is None:
-            m = (self.masks[j],)
-            km = sum(1 << b for b, a in enumerate(self.free) if not self.fits(a, m))
-            self.kill[j] = km
-        return km
+    def _deps(self, j: int) -> list[int]:
+        """Build deps[j], the candidates that need candidate j: its immediate
+        successors (one element slides up one slot) and the supersets one
+        level up."""
+        m, index = self.masks[j], self.index
+        full = (1 << self.inst.n) - 1
+        # x in m, x + 1 in [n] but not in m: x moves to x + 1
+        out = [index[m ^ 3 << x] for x in _bits(m & ~(m >> 1) & full >> 1)]
+        if self.level_of[j] + 1 < len(self.spans):
+            out += [index[m | 1 << x] for x in _bits(full & ~m)]
+        self.deps[j] = out
+        return out
 
-    def _leaf(self, incumbent: _Incumbent, included: list[int], alive: int) -> None:
-        """Offer the included members plus every compatible free set."""
-        out = included + [self.free[b] for b in _bits(alive)]
-        out += [a for a in self.uncounted if self.fits(a, included)]
-        masks = tuple(sorted(out))
-        incumbent.offer(_min_outside(self.obj, self.inst, masks)[0], masks)
+    def _incompat(self, j: int) -> int:
+        """Build incompat[j], the sets of the index space incompatible with
+        candidate j.
+
+        Adding has[x] over the x in j into bit planes (a bit-sliced counter)
+        gives |c & j| for every set c at once.  A k-set c is incompatible
+        when that count is below t: t = k + |j| - u for u-union families,
+        where |c | j| > u, and t = 1 for intersecting ones.
+        """
+        m, u = self.masks[j], self.inst.u
+        planes: list[int] = []             # planes[i]: bit i of the count
+        for x in _bits(m):
+            carry = self.has[x]
+            for i, p in enumerate(planes):
+                planes[i] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+            if carry:
+                planes.append(carry)
+        inc, size = 0, m.bit_count()
+        for k, span in self.level_bits:
+            t = 1 if u is None else k + size - u
+            if t <= 0:
+                continue
+            # compare the count with t from the top bit down: `eq` holds the
+            # sets whose count agrees with t on the bits so far
+            eq = span
+            for i in reversed(range(max(len(planes), t.bit_length()))):
+                p = planes[i] if i < len(planes) else 0
+                if t >> i & 1:
+                    inc |= eq & ~p
+                    eq &= p
+                else:
+                    eq &= ~p
+        self.incompat[j] = inc
+        return inc
+
+    def _leaf(self, incumbent: _Incumbent, included: list[int], blocked: int,
+              alive: int) -> None:
+        """Offer the included members plus every compatible free set.  The
+        value never exceeds the counted members, included plus `alive`, and
+        the incumbent ignores lower values, so such a leaf returns at once."""
+        if len(included) + alive.bit_count() < incumbent.value:
+            return
+        masks = self.masks
+        out = included + [masks[b] for b in _bits(self.free & ~blocked)]
+        incumbent.offer(_min_outside(self.obj, self.inst, out)[0], out)
 
     def run(self, incumbent: _Incumbent, deadline: float | None) -> bool:
         """Offer every leaf the bounds leave open to the incumbent; True when
@@ -627,15 +677,17 @@ class _LayeredDFS:
 
     def _search(self, incumbent: _Incumbent, deadline: float | None) -> None:
         N, masks, level_of, spans = self.N, self.masks, self.level_of, self.spans
-        deps, specials, special_cap = self.deps, self.specials, self.special_cap
-        fits, use_pruning = self.fits, self.use_pruning
+        deps, incompat = self.deps, self.incompat
+        specials, special_cap = self.specials, self.special_cap
+        counted, use_pruning = self.counted, self.use_pruning
         caps = list(self.caps0)
         counts = [0] * len(caps)           # included members per level
         missing = list(self.missing0)
         ready = self.ready0
-        alive = (1 << len(self.free)) - 1  # counted free sets still compatible
+        blocked = 0                        # sets incompatible with an included member
+        alive = counted                    # counted free sets still compatible
         included: list[int] = []
-        stack = []                         # (j, restore, newly ready, alive)
+        stack = []                         # (j, restore, newly ready, blocked)
         restore: list[tuple[int, int]] = []   # (level, old cap), in order
 
         def prune(pos: int) -> bool:
@@ -659,11 +711,8 @@ class _LayeredDFS:
             self.nodes += 1
             if deadline is not None:
                 _check_deadline(deadline)
-            j = N
-            for i in _bits(ready >> pos):
-                if fits(masks[pos + i], included):
-                    j = pos + i
-                    break
+            open_ = (ready & ~blocked) >> pos
+            j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
             branching = True
             for p in _bits(specials & ((1 << j) - (1 << pos))):
                 li = level_of[p]
@@ -674,19 +723,25 @@ class _LayeredDFS:
                         branching = False
                         break
             if branching and j == N:
-                self._leaf(incumbent, included, alive)
+                self._leaf(incumbent, included, blocked, alive)
                 branching = False
             if branching and not prune(j):
                 # include j; a pruned include child unwinds straight back
                 newly = 0
-                for t in deps[j]:
+                dj = deps[j]
+                if dj is None:
+                    dj = self._deps(j)
+                for t in dj:
                     missing[t] -= 1
                     if not missing[t]:
                         newly |= 1 << t
-                stack.append((j, restore, newly, alive))
+                stack.append((j, restore, newly, blocked))
                 ready |= newly
-                if alive:
-                    alive &= ~self._kill(j)
+                inc = incompat[j]
+                if inc is None:
+                    inc = self._incompat(j)
+                blocked |= inc
+                alive = counted & ~blocked
                 included.append(masks[j])
                 counts[level_of[j]] += 1
                 restore = []
@@ -708,7 +763,8 @@ class _LayeredDFS:
                     caps[li] = cap
                 if not stack:
                     return
-                j, restore, newly, alive = stack.pop()
+                j, restore, newly, blocked = stack.pop()
+                alive = counted & ~blocked
                 ready ^= newly
                 for t in deps[j]:
                     missing[t] += 1

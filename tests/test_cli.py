@@ -195,6 +195,7 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
     for argv, message in (
             (["bound", "--name", "katona", "--n", "5"], "bound katona needs --u"),
             (["bound", "--name", "quintic"], "bound quintic needs --c"),
+            (["bound", "--name", "quintic", "--c", "1/0"], "zero denominator"),
             (["check", "--pred", "t-intersecting", "--input", str(fam)],
              "check t-intersecting needs --t"),
             (["check", "--pred", "u-union", "--input", str(fam)],

@@ -81,6 +81,24 @@ def test_u_union_examples():
     assert is_u_union(family_from_sets(3, [[]]), 0)
 
 
+def test_u_union_matches_pairwise_check():
+    # every pair, each member with itself included, against the size-grouped
+    # check; a directly built SetFamily may hold its members in any order
+    rng = random.Random(45)
+    for _ in range(400):
+        n = rng.randrange(1, 8)
+        u = rng.randrange(0, n + 1)
+        if rng.random() < 0.5:
+            fam = random_u_union_family(rng, n, u + rng.randrange(2))
+        else:
+            fam = random_family(rng, n, 10)
+        masks = list(fam.members)
+        rng.shuffle(masks)
+        for f in (fam, SetFamily(n, tuple(masks))):
+            expected = all((a | b).bit_count() <= u for a in masks for b in masks)
+            assert is_u_union(f, u) == expected, (f, u)
+
+
 def test_cross_intersecting():
     b = b_family(6, 2)
     assert is_cross_t_intersecting(layer(b, 3), layer(b, 3), 2)

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,35 @@ def test_exhaustive_bitset_value_matches_mask_list_value():
                             == search._min_outside(obj, inst, sorted(masks))[0])
 
 
+def test_layered_bitsets_match_their_definitions():
+    # the layered engine's index space holds the candidates by level, then
+    # the free sets by size, each level in `combinations` order; `has[x]`
+    # marks the sets containing x and `_incompat(j)` the sets that break the
+    # pairwise relation with candidate j (union <= u, or intersecting)
+    for obj in search.OBJECTIVES.values():
+        for n in range(1, 9):
+            for v in range(n + 1):
+                try:
+                    inst = search._instance(obj, dict(zip(obj.params, (n, v))))
+                except ValueError:
+                    continue
+                dfs = search._LayeredDFS(obj, inst, True)
+                masks = dfs.masks
+                assert masks == [sum(1 << (e - 1) for e in c)
+                                 for k in inst.levels + inst.free_levels
+                                 for c in combinations(range(1, n + 1), k)]
+                for x in range(n):
+                    assert dfs.has[x] == sum(
+                        1 << i for i, m in enumerate(masks) if m >> x & 1)
+                u = inst.u
+                for j in range(dfs.N):
+                    a = masks[j]
+                    assert dfs._incompat(j) == sum(
+                        1 << i for i, b in enumerate(masks)
+                        if ((a | b).bit_count() > u if u is not None
+                            else not a & b)), (obj, n, v, j)
+
+
 def test_diametral_cap():
     with pytest.raises(CapExceeded):
         diametral_overflow(SetFamily.from_masks(21, [1]), 2)
@@ -228,7 +258,18 @@ RESTRICTED_PINS = [
     ("diametral_overflow", {"n": 5, "u": 2}, 1, 1, [[], [1], [2], [1, 2]]),
     ("diametral_overflow", {"n": 6, "u": 3}, 2, 1,
      [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]]),
+    # leaves that add uncounted free sets (sizes 0..d) to the members
+    ("overflow_odd", {"n": 9, "d": 2}, 12, 1, g_family(9, 2).member_sets()),
+    ("diametral_overflow", {"n": 8, "u": 5}, 10, 2, g_family(8, 2).member_sets()),
 ]
+
+# nodes_explored of each pin, by (objective, n, second parameter)
+RESTRICTED_NODES = {
+    ("overflow_odd", 5, 1): 13, ("overflow_odd", 7, 2): 285,
+    ("diversity", 7, 2): 15, ("diversity", 7, 3): 142,
+    ("diametral_overflow", 5, 2): 3, ("diametral_overflow", 6, 3): 15,
+    ("overflow_odd", 9, 2): 895, ("diametral_overflow", 8, 5): 522,
+}
 
 
 @pytest.mark.parametrize("objective,params,optimum,maximizers,witness",
@@ -237,6 +278,7 @@ def test_restricted_results_pinned(objective, params, optimum, maximizers, witne
     cert = maximize(objective, params,
                     SearchOptions(restrict_to_initial_complexes=True))
     assert cert.optimum == optimum and cert.maximizers == maximizers
+    assert cert.nodes_explored == RESTRICTED_NODES[(objective, *params.values())]
     assert cert.witness == family_from_sets(params["n"], witness)
     assert not cert.proven_optimal and not cert.timed_out
     assert recheck(cert)
