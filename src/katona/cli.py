@@ -15,7 +15,7 @@ from itertools import combinations
 
 from . import bounds, constructions, search, transforms
 from .core import (
-    CapExceeded, SetFamily, complement_family, down_closure,
+    ALGEBRAIC_CAP, CapExceeded, SetFamily, complement_family, down_closure,
     family_from_json_dict, family_to_json_dict, is_complex,
     is_cross_t_intersecting, is_t_intersecting, is_u_union, layer,
     mask_of, elements_of,
@@ -47,11 +47,13 @@ def _emit(obj: dict, args) -> None:
             fh.write(text + "\n")
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+def _elements(text: str) -> tuple[int, ...]:
+    """Comma-separated elements, each in [1, ALGEBRAIC_CAP]."""
+    elements = tuple(int(x) for x in text.split(",")) if text.strip() else ()
+    for e in elements:
+        if not 1 <= e <= ALGEBRAIC_CAP:
+            raise ValueError(f"element {e} outside [1, {ALGEBRAIC_CAP}]")
+    return elements
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +69,7 @@ def _fraction(text: str) -> Fraction:
 
 # flags whose text names a family file or a fraction, or lists elements
 _FLAG_READERS = {"input": _read_family, "input2": _read_family, "c": _fraction,
-                 "center": _parse_ints,
-                 "set": lambda text: mask_of(_parse_ints(text))}
+                 "center": _elements, "set": lambda text: mask_of(_elements(text))}
 
 
 def _flags(args, names, what: str) -> list:
@@ -107,22 +108,20 @@ def _cmd_check(args) -> int:
     return 0 if holds else 1
 
 
+# transform op -> function of the --input family and --p giving the output
+# family and its operator log, or None when the op has no log
+_TRANSFORMS = {
+    "shift-initial": lambda fam, p: transforms.make_initial(fam),
+    "downshift-complex": lambda fam, p: transforms._downshift_fixpoint(fam),
+    "complement": lambda fam, p: (complement_family(fam), None),
+    "closure": lambda fam, p: (down_closure(fam), None),
+    "translate": lambda fam, p: (transforms.left_translate(fam, p),
+                                 transforms.ShiftLog((("translate", p),), 1)),
+}
+
+
 def _cmd_transform(args) -> int:
-    fam = _read_family(args.input)
-    log = None
-    if args.op == "shift-initial":
-        out, log = transforms.make_initial(fam)
-    elif args.op == "downshift-complex":
-        out, log = transforms._downshift_fixpoint(fam)
-    elif args.op == "complement":
-        out = complement_family(fam)
-    elif args.op == "closure":
-        out = down_closure(fam)
-    elif args.op == "translate":
-        out = transforms.left_translate(fam, args.p)
-        log = transforms.ShiftLog((("translate", args.p),), 1)
-    else:
-        raise ValueError(f"unknown transform {args.op!r}")
+    out, log = _TRANSFORMS[args.op](_read_family(args.input), args.p)
     if args.log and log is not None:
         with open(args.log, "w") as fh:
             fh.write(log.to_json() + "\n")
@@ -412,8 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("transform", help="apply a compression operator")
-    p.add_argument("--op", required=True, choices=(
-        "shift-initial", "downshift-complex", "complement", "closure", "translate"))
+    p.add_argument("--op", required=True, choices=tuple(_TRANSFORMS))
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--log", help="write the replayable operator log here")

@@ -265,7 +265,7 @@ def test_criterion_09_hilton_compression():
     reason="the ratio inequality is false on part of its stated grid: at "
     "(n,r,a,b) = (4,3,1,2) the left side is 1/4 and the right side is 1/3; "
     "it is a theorem only where n - r + b - a >= r, which covers every use "
-    "the proofs make of it (see notes/decisions.md)")
+    "the proofs make of it; test_criterion_10b checks it on that regime")
 @criterion("10a", "ratio inequality on its full stated grid [known defect]")
 def test_criterion_10a_key_ratio_grid_as_stated():
     violations = []

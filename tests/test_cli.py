@@ -209,7 +209,16 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
             (["walks", "--mode", "trace", "--k", "2", "--set", "1,2"],
              "walks trace needs --n"),
             (["walks", "--mode", "verify-hits", "--input", str(fam)],
-             "walks verify-hits needs --t")):
+             "walks verify-hits needs --t"),
+            # huge or nonpositive integers are bad input, not an OverflowError
+            (["transform", "--op", "translate", "--p", str(10 ** 20),
+              "--input", str(fam)], "translate amount must be in [0, 4]"),
+            (["walks", "--mode", "trace", "--n", "5", "--set", str(10 ** 20)],
+             f"element {10 ** 20} outside [1, 63]"),
+            (["walks", "--mode", "trace", "--n", "5", "--set", "0"],
+             "element 0 outside [1, 63]"),
+            (["construct", "--family", "ball", "--n", "5", "--u", "2",
+              "--center", str(10 ** 20)], f"element {10 ** 20} outside [1, 63]")):
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err
 

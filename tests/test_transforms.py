@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -279,6 +280,22 @@ def test_shift_log_json_round_trip():
     assert ShiftLog.from_json_dict(log.to_json_dict()) == log
 
 
+@pytest.mark.parametrize("obj", [
+    None, [], {}, {"ops": None}, {"ops": {}}, {"ops": [1]},
+    {"ops": [{"i": 1}]}, {"ops": [{"kind": "rotate", "i": 1}]},
+    {"ops": [{"kind": ["shift"], "i": 1, "j": 2}]},
+    {"ops": [{"kind": "shift", "i": True, "j": 2.7}]},
+    {"ops": [{"kind": "shift", "i": 1}]},
+    {"ops": [{"kind": "downshift", "i": "1"}]},
+    {"ops": [{"kind": "translate"}]},
+    {"ops": [], "passes": None}, {"ops": [], "passes": 1.0},
+    {"ops": [], "passes": False},
+])
+def test_shift_log_rejects_malformed_json(obj):
+    with pytest.raises(ValueError):
+        ShiftLog.from_json_dict(obj)
+
+
 def test_downshift_log_replays():
     from katona.transforms import _downshift_fixpoint
     rng = random.Random(19)
@@ -286,3 +303,23 @@ def test_downshift_log_replays():
         fam = random_family(rng, rng.randrange(1, 6), 6)
         out, log = _downshift_fixpoint(fam)
         assert replay(fam, log) == out
+
+
+def test_sweeps_pinned():
+    """One digest over the results and logs of the three fixpoint sweeps on
+    200 seeded random families: it changes if any output, op or pass count
+    does."""
+    from katona.transforms import _downshift_fixpoint
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        fam, other = random_family(rng, n, 16), random_family(rng, n, 16)
+        for sweep in (make_initial, _downshift_fixpoint):
+            out, log = sweep(fam)
+            assert replay(fam, log) == out
+            digest.update(repr((out.members, log.ops, log.passes)).encode())
+        out_a, out_b = make_initial_pair(fam, other)
+        digest.update(repr((out_a.members, out_b.members)).encode())
+    assert digest.hexdigest() == (
+        "801d3fcdf34c53b13fc8b06bcf96ec1b1920894e11cf2ce06020721fbaeb634b")
