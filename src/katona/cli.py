@@ -56,6 +56,13 @@ def _elements(text: str) -> tuple[int, ...]:
     return elements
 
 
+def _ground(n: int) -> int:
+    """A ground-set size read from a flag, in [0, ALGEBRAIC_CAP]."""
+    if not 0 <= n <= ALGEBRAIC_CAP:
+        raise ValueError(f"--n {n} outside [0, {ALGEBRAIC_CAP}]")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -146,8 +153,8 @@ _WALKS = {
     "count": (lambda brute, *nktab: {"count": str(
         (brute_hit_count if brute else reflection_count)(*nktab))},
         ("brute", "n", "k", "t", "a", "b")),
-    "trace": (lambda mask, n: {"points": [list(p) for p in walk_of_set(mask, n).points]},
-              ("set", "n")),
+    "trace": (lambda mask, n: {"points": [
+        list(p) for p in walk_of_set(mask, _ground(n)).points]}, ("set", "n")),
     "verify-hits": (lambda fam, t: {"t": t, "all_hit": family_walks_hit(fam, t)},
                     ("input", "t")),
 }
@@ -499,7 +506,7 @@ def run(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

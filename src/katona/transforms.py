@@ -1,10 +1,13 @@
 """Compression operators: i<-j shifts, down-shifts, left-translates.
 
 The public operators are pure: each takes a SetFamily and returns a new one.
-Inside, a family is a set of masks: the kernels `_shift` and `_down` apply
-one operator to it in place, and `_sweep`, the one fixpoint driver, repeats
-kernels in a fixed order, so that logs are reproducible, until nothing
-moves.  `_OPS` is the one table of operator kinds and their arguments.
+Inside, a family is a set of masks, changed in place: `_OPS`, the one table
+of op kinds, gives each its arguments and a step that validates them and
+applies the op, so an op sequence is canonicalised once; `_sweep`, the one
+fixpoint driver, repeats kernels in a fixed order until nothing moves.  A
+family is initial (no i<-j shift moves a member) iff it is closed under the
+elementary moves j -> j-1: by induction on j - i, a swap j -> i walks the
+hole at the largest absent k >= i up to j, then recurses on k -> i.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from .core import SetFamily, elements_of
 
 
 def _shift(present: set[int], bi: int, bj: int) -> bool:
-    """Replace bj by bi in each member whose image is absent; True if one moved.
-
-    Movers are found in the unchanged set; an image has bi, so it is no mover.
-    """
+    """Replace bj by bi (0 for a down-shift) in each member whose image is
+    absent; True if one moved.  Movers are found in the unchanged set; an
+    image has bi, or lacks bj if bi is 0, so it is no mover."""
     movers = [m for m in present
               if m & bj and not m & bi and (m ^ bj) | bi not in present]
     present.difference_update(movers)
@@ -27,61 +29,70 @@ def _shift(present: set[int], bi: int, bj: int) -> bool:
     return bool(movers)
 
 
-def _down(present: set[int], bi: int) -> bool:
-    """Remove bi from each member whose reduction is absent; True if one moved."""
-    movers = [m for m in present if m & bi and m ^ bi not in present]
-    present.difference_update(movers)
-    present.update(m ^ bi for m in movers)
-    return bool(movers)
+def _shift_step(n: int, present: set[int], i: int, j: int) -> int:
+    if not (1 <= i < j <= n):
+        raise ValueError(f"need 1 <= i < j <= {n}, got i={i}, j={j}")
+    _shift(present, 1 << (i - 1), 1 << (j - 1))
+    return n
+
+
+def _down_step(n: int, present: set[int], i: int) -> int:
+    if not 1 <= i <= n:
+        raise ValueError(f"element {i} outside ground set [1, {n}]")
+    _shift(present, 0, 1 << (i - 1))
+    return n
+
+
+def _translate_step(n: int, present: set[int], p: int) -> int:
+    if not 0 <= p <= n:
+        raise ValueError(f"translate amount must be in [0, {n}], got {p}")
+    low = [m for m in present if m & ((1 << p) - 1)]
+    if low:  # name the first such member in canonical order
+        first = elements_of(min(low, key=lambda m: (m.bit_count(), m)))
+        raise ValueError(f"member {first} has an element <= {p}; cannot translate")
+    moved = [m >> p for m in present]
+    present.clear()
+    present.update(moved)
+    return n - p
+
+
+# op kind -> (its step (n, present, *args) -> the new n, its argument names)
+_OPS = {"shift": (_shift_step, ("i", "j")), "downshift": (_down_step, ("i",)),
+        "translate": (_translate_step, ("p",))}
+
+
+def _apply(fam: SetFamily, ops: list[tuple] | tuple[tuple, ...]) -> SetFamily:
+    """Run the steps of `ops` on one mask set; canonicalise once at the end."""
+    n, present = fam.n, set(fam.members)
+    for kind, *args in ops:
+        if kind not in _OPS or len(args) != len(_OPS[kind][1]):
+            raise ValueError(f"unknown op {(kind, *args)!r}")
+        n = _OPS[kind][0](n, present, *args)
+    res = SetFamily.from_masks(n, present)
+    assert len(res) == len(fam)  # every op is injective on members
+    return res
 
 
 def shift_ij(fam: SetFamily, i: int, j: int) -> SetFamily:
     """Replace j by i in each member when the result is absent from the family."""
-    if not (1 <= i < j <= fam.n):
-        raise ValueError(f"need 1 <= i < j <= {fam.n}, got i={i}, j={j}")
-    present = set(fam.members)
-    _shift(present, 1 << (i - 1), 1 << (j - 1))
-    res = SetFamily.from_masks(fam.n, present)
-    assert len(res) == len(fam)  # the shift is injective on members
-    return res
+    return _apply(fam, [("shift", i, j)])
 
 
 def down_shift(fam: SetFamily, i: int) -> SetFamily:
     """Remove element i from each member whose reduction is absent."""
-    if not 1 <= i <= fam.n:
-        raise ValueError(f"element {i} outside ground set [1, {fam.n}]")
-    present = set(fam.members)
-    _down(present, 1 << (i - 1))
-    res = SetFamily.from_masks(fam.n, present)
-    assert len(res) == len(fam)
-    return res
+    return _apply(fam, [("downshift", i)])
 
 
 def left_translate(fam: SetFamily, p: int) -> SetFamily:
     """Decrease every element by p; the result lives on [n - p]."""
-    if not 0 <= p <= fam.n:
-        raise ValueError(f"translate amount must be in [0, {fam.n}], got {p}")
-    low = (1 << p) - 1
-    for m in fam.members:
-        if m & low:
-            raise ValueError(
-                f"member {elements_of(m)} has an element <= {p}; cannot translate")
-    return SetFamily.from_masks(fam.n - p, (m >> p for m in fam.members))
-
-
-# op kind -> (the operator, the names of its arguments after the family)
-_OPS = {"shift": (shift_ij, ("i", "j")), "downshift": (down_shift, ("i",)),
-        "translate": (left_translate, ("p",))}
+    return _apply(fam, [("translate", p)])
 
 
 @dataclass(frozen=True)
 class ShiftLog:
-    """Replayable record of applied operators.
-
-    ops entries: ("shift", i, j) | ("downshift", i) | ("translate", p).
-    Only operators that changed the family are recorded, so replaying the
-    log on the original input reproduces the output exactly.
-    """
+    """Replayable record of applied operators: ("shift", i, j) |
+    ("downshift", i) | ("translate", p) ops, only those that changed the
+    family, so replaying the log on the input reproduces the output exactly."""
 
     ops: tuple[tuple, ...] = field(default_factory=tuple)
     passes: int = 0
@@ -113,15 +124,34 @@ class ShiftLog:
         return json.dumps(self.to_json_dict())
 
 
-def _sweep(sets: list[set[int]], ops: list[tuple]) -> ShiftLog:
+def _closed(present: set[int]) -> bool:
+    """True when every elementary move j -> j-1 of a member (j >= 2 in m and
+    j-1 not in m: the bits of m & ~(m << 1) & ~1) gives a member."""
+    for m in present:
+        moves = m & ~(m << 1) & ~1
+        while moves:
+            bj = moves & -moves
+            moves ^= bj
+            if m ^ bj ^ bj >> 1 not in present:
+                return False
+    return True
+
+
+def _sweep(sets: list[set[int]], ops: list[tuple], settled=None) -> ShiftLog:
     """Apply `ops`, each a (log entry, kernel, kernel bits), in order to every
     set, sweep after sweep, until a sweep changes none of them.  The log
-    records each op that moved a member of some set, and counts the sweeps."""
+    records each op that moved a member of some set, and counts the sweeps.
+    When `settled` holds for every set, the sweep that would move nothing is
+    counted but not run.  For the i<-j shifts it is `_closed`, which is exact:
+    the elementary moves j -> j-1 generate every swap j -> i, by induction on
+    j - i (walk the hole at the largest absent k >= i up to j, then k -> i)."""
     log = []
     passes = 0
     changed = True
     while changed:
         passes += 1
+        if settled and all(settled(present) for present in sets):
+            break
         changed = False
         for entry, kernel, bits in ops:
             # a list, not a generator, so that every set is shifted
@@ -140,7 +170,7 @@ def _shifts(n: int) -> list[tuple]:
 def make_initial(fam: SetFamily) -> tuple[SetFamily, ShiftLog]:
     """Apply i<-j shifts in lexicographic (i, j) sweeps until nothing moves."""
     present = set(fam.members)
-    log = _sweep([present], _shifts(fam.n))
+    log = _sweep([present], _shifts(fam.n), _closed)
     return SetFamily.from_masks(fam.n, present), log
 
 
@@ -153,59 +183,38 @@ def make_initial_pair(fam_a: SetFamily, fam_b: SetFamily) -> tuple[SetFamily, Se
     if fam_a.n != fam_b.n:
         raise ValueError(f"ground-set mismatch: {fam_a.n} vs {fam_b.n}")
     sets = [set(fam_a.members), set(fam_b.members)]
-    _sweep(sets, _shifts(fam_a.n))
+    _sweep(sets, _shifts(fam_a.n), _closed)
     return tuple(SetFamily.from_masks(fam_a.n, present) for present in sets)
 
 
 def precedes(mask_a: int, mask_b: int) -> bool:
     """Coordinatewise order on equal-size sets: sorted elements pointwise <=."""
-    a = elements_of(mask_a)
-    b = elements_of(mask_b)
+    a, b = elements_of(mask_a), elements_of(mask_b)
     if len(a) != len(b):
         raise ValueError(f"precedes needs equal sizes, got {len(a)} and {len(b)}")
     return all(x <= y for x, y in zip(a, b))
 
 
 def is_initial(fam: SetFamily) -> bool:
-    """Fixpoint of every i<-j shift.
-
-    Equivalent to each uniform layer being a down-set of the coordinatewise
-    order; checked via closure under single j -> i swaps, which generate it.
-    """
-    present = set(fam.members)
-    for m in fam.members:
-        rest = m
-        while rest:
-            bj = rest & (-rest)
-            rest ^= bj
-            j = bj.bit_length()
-            for i in range(1, j):
-                bi = 1 << (i - 1)
-                if not m & bi and ((m ^ bj) | bi) not in present:
-                    return False
-    return True
+    """Fixpoint of every i<-j shift: each uniform layer is a down-set of the
+    coordinatewise order.  Checked by `_closed`, as the elementary moves
+    j -> j-1 generate every j -> i swap (see the module docstring)."""
+    return _closed(set(fam.members))
 
 
 def _downshift_fixpoint(fam: SetFamily) -> tuple[SetFamily, ShiftLog]:
     present = set(fam.members)
-    log = _sweep([present], [(("downshift", i), _down, (1 << (i - 1),))
+    log = _sweep([present], [(("downshift", i), _shift, (0, 1 << (i - 1)))
                              for i in range(1, fam.n + 1)])
     return SetFamily.from_masks(fam.n, present), log
 
 
 def make_complex_by_downshift(fam: SetFamily) -> SetFamily:
-    """Down-shift sweeps in index order until the family is a complex.
-
-    Size is preserved and the diameter never grows.
-    """
-    res, _ = _downshift_fixpoint(fam)
-    return res
+    """Down-shift sweeps in index order until the family is a complex; the
+    size is preserved and the diameter never grows."""
+    return _downshift_fixpoint(fam)[0]
 
 
 def replay(fam: SetFamily, log: ShiftLog) -> SetFamily:
     """Re-apply a recorded op sequence to a family."""
-    for kind, *args in log.ops:
-        if kind not in _OPS or len(args) != len(_OPS[kind][1]):
-            raise ValueError(f"unknown op {(kind, *args)!r}")
-        fam = _OPS[kind][0](fam, *args)
-    return fam
+    return _apply(fam, log.ops)

@@ -218,7 +218,13 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
             (["walks", "--mode", "trace", "--n", "5", "--set", "0"],
              "element 0 outside [1, 63]"),
             (["construct", "--family", "ball", "--n", "5", "--u", "2",
-              "--center", str(10 ** 20)], f"element {10 ** 20} outside [1, 63]")):
+              "--center", str(10 ** 20)], f"element {10 ** 20} outside [1, 63]"),
+            # a huge --n is refused before a walk is traced over it
+            (["walks", "--mode", "trace", "--n", str(10 ** 20), "--set", "1"],
+             f"--n {10 ** 20} outside [0, 63]"),
+            # an argument too large for the arithmetic is bad input too
+            (["bound", "--name", "binom", "--n", str(10 ** 20),
+              "--k", str(5 * 10 ** 19)], "must not exceed")):
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err
 

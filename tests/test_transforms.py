@@ -168,6 +168,26 @@ def test_is_initial_matches_shift_fixpoint():
         assert is_initial(fam) == fixed
 
 
+def _swap_closed(fam):
+    """The definition: every j -> i swap (i < j, j in m, i not in m) of every
+    member m is a member."""
+    present = set(fam.members)
+    return all((m ^ (1 << (j - 1))) | (1 << (i - 1)) in present
+               for m in present for j in elements_of(m)
+               for i in range(1, j) if not m >> (i - 1) & 1)
+
+
+def test_is_initial_matches_swap_definition():
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for _ in range(500):
+        fam = random_family(rng, rng.randrange(1, 9), 16)
+        for f in (fam, make_initial(fam)[0]):
+            assert is_initial(f) == _swap_closed(f), f
+            seen[is_initial(f)] += 1
+    assert seen[True] > 500 and seen[False] > 100
+
+
 # -- down-shifts ------------------------------------------------------------------
 
 def test_down_shift_blocked():
@@ -294,6 +314,24 @@ def test_shift_log_json_round_trip():
 def test_shift_log_rejects_malformed_json(obj):
     with pytest.raises(ValueError):
         ShiftLog.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("sets, ops, message", [
+    # the shift is valid on [4], but the translate has shrunk n to 2
+    ([[3, 4]], [("translate", 2), ("shift", 1, 4)], "need 1 <= i < j <= 2"),
+    ([[1]], [("shift", 2, 2)], "need 1 <= i < j <= 4, got i=2, j=2"),
+    ([[1]], [("shift", 3, 2)], "need 1 <= i < j <= 4"),
+    ([[1]], [("downshift", 0)], r"element 0 outside ground set \[1, 4\]"),
+    ([[1]], [("downshift", 5)], r"element 5 outside ground set \[1, 4\]"),
+    # the first offending member in canonical order: {3} before {1, 2}
+    ([[1, 2], [3]], [("translate", 3)], r"member \(3,\) has an element <= 3"),
+    ([[3]], [("translate", 5)], r"translate amount must be in \[0, 4\]"),
+    ([[1]], [("rotate", 1)], "unknown op"),
+    ([[1]], [("shift", 1)], "unknown op"),
+])
+def test_replay_rejects_invalid_ops(sets, ops, message):
+    with pytest.raises(ValueError, match=message):
+        replay(family_from_sets(4, sets), ShiftLog(tuple(ops)))
 
 
 def test_downshift_log_replays():
