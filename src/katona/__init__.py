@@ -31,10 +31,10 @@ from .bounds import (
     upper_layer_bound, diversity_formula, walk_gap_bound, walk_skip_bound,
     key_ratio_holds, d_even_overflow, d_even_gap, d_even_gap_closed_form,
     d2r_upper_count, d2r_gap, crossover_quintic, sperner_cross_check,
-    shadow_bound_check, layer_bound, layer_bound_refined,
+    shadow_bound_check, layer_bound, layer_bound_refined, verify_hilton,
 )
 from .search import (
-    SearchOptions, SearchCertificate, maximize, recheck, verify_hilton,
+    SearchOptions, SearchCertificate, maximize, recheck,
     overflow_even_of, overflow_odd_of, katona_overflow_of, diametral_overflow,
 )
 

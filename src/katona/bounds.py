@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
-from .core import SetFamily
+from .core import (CapExceeded, SetFamily, family_to_json_dict,
+                   is_cross_t_intersecting, mask_of)
+from .constructions import lex_segment
 
 
 def binom(n: int, k: int) -> int:
@@ -273,3 +276,34 @@ def shadow_bound_check(fam: SetFamily, ell: int) -> BoundReport:
         name="shadow_bound", params={"n": n, "k": k, "ell": ell},
         holds=(lhs >= rhs), lhs=lhs, rhs=rhs,
         formula="|shadow(F)|/C(n,ell) >= |F|/C(n,k)")
+
+
+def verify_hilton(n: int, a: int, b: int) -> BoundReport:
+    """For every cross-intersecting pair, the same-size lexicographic
+    segments must be cross-intersecting too; checked over all pairs."""
+    if n <= a + b:
+        raise ValueError(f"need n > a + b, got n={n}, a={a}, b={b}")
+    if math.comb(n, a) + math.comb(n, b) > 22:
+        raise CapExceeded(
+            f"C({n},{a}) + C({n},{b}) = {math.comb(n, a) + math.comb(n, b)} exceeds 22")
+    a_sets = [mask_of(c) for c in combinations(range(1, n + 1), a)]
+    b_sets = [mask_of(c) for c in combinations(range(1, n + 1), b)]
+    # for each b-set, the a-sets disjoint from it, as an index mask
+    disjoint = [sum(1 << i for i, am in enumerate(a_sets) if not am & bm)
+                for bm in b_sets]
+    # max_allowed[s]: the most b-sets cross-intersecting some s a-sets
+    max_allowed = [0] * (len(a_sets) + 1)
+    for fam_bits in range(1 << len(a_sets)):
+        size = fam_bits.bit_count()
+        max_allowed[size] = max(max_allowed[size],
+                                sum(not fam_bits & dm for dm in disjoint))
+    segments = ((s, t, lex_segment(n, a, s), lex_segment(n, b, t))
+                for s in range(1, len(a_sets) + 1) for t in range(1, max_allowed[s] + 1))
+    found = next((seg for seg in segments
+                  if not is_cross_t_intersecting(seg[2], seg[3], 1)), None)
+    return BoundReport(
+        name="hilton_compression", params={"n": n, "a": a, "b": b},
+        holds=found is None,
+        counterexample=None if found is None else (
+            *found[:2], *map(family_to_json_dict, found[2:])),
+        formula="cross-intersecting sizes stay cross-intersecting as lex segments")

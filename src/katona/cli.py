@@ -228,15 +228,17 @@ def _cmd_recheck(args) -> int:
 def _suite_hilton() -> list[str]:
     failures = []
     for n, a, b in ((5, 2, 2), (4, 1, 2)):
-        rep = search.verify_hilton(n, a, b)
+        rep = bounds.verify_hilton(n, a, b)
         if not rep.holds:
             failures.append(f"hilton({n},{a},{b}) violated: {rep.counterexample}")
     return failures
 
 
-def _random_union_family(rng: random.Random, n: int, u: int) -> SetFamily:
+def _random_union_family(rng: random.Random, n: int, u: int,
+                         tries: int = 20) -> SetFamily:
+    """Grow a u-union family from `tries` random subsets of [n] by rejection."""
     masks: list[int] = []
-    for _ in range(rng.randrange(1, 14)):
+    for _ in range(tries):
         m = rng.randrange(1 << n)
         if m.bit_count() > u:
             continue
@@ -252,7 +254,7 @@ def _suite_facts() -> list[str]:
     for _ in range(300):
         n = rng.randrange(2, 8)
         u = rng.randrange(1, n)
-        fam = _random_union_family(rng, n, u)
+        fam = _random_union_family(rng, n, u, rng.randrange(1, 14))
         d, h = u // 2, u % 2
         for i in range(1, u - d + 1):
             li = layer(fam, d + i) if d + i <= n else None
@@ -298,7 +300,8 @@ def _suite_facts() -> list[str]:
     for _ in range(100):
         n = rng.randrange(2, 7)
         u = rng.randrange(1, n)
-        fam = down_closure(_random_union_family(rng, n, min(n, u + 2)))
+        fam = down_closure(_random_union_family(
+            rng, n, min(n, u + 2), rng.randrange(1, 14)))
         sigma = search.katona_overflow_of(fam, u)
         kappa = search.diametral_overflow(fam, u)[0]
         if sigma != kappa:

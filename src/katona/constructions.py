@@ -2,7 +2,11 @@
 
 Most of the families here are "few elements outside a small base" families,
 i.e. {S in 2^[n] : |S \\ B| <= c} for a fixed base B, so one helper produces
-them all without enumerating 2^[n].
+them all without enumerating 2^[n].  For u = 2d + h, the rungs of the ladder
+N_s(n, u) = {S : |S \\ [2s + h]| <= d - s} are u-union (two members share the
+base and add d - s elements each at most): s = 0 is `katona`, s = 1 `b_family`
+/ `g_family`, s = 2 `d_even` / `d_odd5`, s = 3 `d_2r`.  Each family is counted
+in closed form, and refused above `MEMBER_CAP` members, before it is built.
 """
 
 from __future__ import annotations
@@ -10,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
+from typing import Callable
 
-from .core import SetFamily, mask_of, elements_of, _check_ground
+from .core import (CapExceeded, MEMBER_CAP, SetFamily, mask_of, elements_of,
+                   subsets_of, _check_ground)
 
 @dataclass(frozen=True)
 class ConstructionSpec:
@@ -22,32 +28,41 @@ class ConstructionSpec:
     center: tuple[int, ...] = ()
 
 
-def _near_base(n: int, base: tuple[int, ...], c: int) -> SetFamily:
-    """{S subset [n] : |S \\ base| <= c}."""
+def _capped(n: int, size: Callable[[], int]) -> None:
+    """Check the ground set, then refuse a family of size() > MEMBER_CAP
+    members; size is called only for a valid n, where it is cheap."""
     _check_ground(n)
-    base_mask = mask_of(base)
+    if (count := size()) > MEMBER_CAP:
+        raise CapExceeded(f"{count} members exceed the cap of {MEMBER_CAP}")
+
+
+def _near_base(n: int, base: tuple[int, ...], c: int) -> SetFamily:
+    """{S subset [n] : |S \\ base| <= c}, for a base inside [n]."""
+    rest = n - len(base)
+    _capped(n, lambda: sum(comb(rest, j) for j in range(min(c, rest) + 1)) << len(base))
+    subs = tuple(subsets_of(mask_of(base)))
     outside = [e for e in range(1, n + 1) if e not in base]
-    masks = []
-    for size in range(0, min(c, len(outside)) + 1):
-        for extra in combinations(outside, size):
-            extra_mask = mask_of(extra)
-            sub = base_mask
-            while True:
-                masks.append(sub | extra_mask)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & base_mask
-    return SetFamily.from_masks(n, masks)
+    return SetFamily.from_masks(n, [
+        sub | m for size in range(min(c, rest) + 1)
+        for m in map(mask_of, combinations(outside, size)) for sub in subs])
+
+
+def _near_katona(n: int, u: int, s: int, name: str = "d") -> SetFamily:
+    """The ladder rung N_s(n, u) = {S : |S \\ [2s + h]| <= d - s}, u = 2d + h;
+    `name` is the caller's name for d in the error message."""
+    d, h = divmod(u, 2)
+    if d < s:
+        raise ValueError(f"need {name} >= {s}, got {d}")
+    if n < 2 * s + h:
+        raise ValueError(f"need n >= {2 * s + h}, got {n}")
+    return _near_base(n, tuple(range(1, 2 * s + h + 1)), d - s)
 
 
 def katona(n: int, u: int) -> SetFamily:
     """All sets of size <= d for u = 2d; all sets with |K \\ {1}| <= d for u = 2d + 1."""
     if not 0 < u < n:
         raise ValueError(f"need 0 < u < n, got u={u}, n={n}")
-    d = u // 2
-    if u % 2 == 0:
-        return _near_base(n, (), d)
-    return _near_base(n, (1,), d)
+    return _near_katona(n, u, 0)
 
 
 def katona_x(n: int, u: int, x: int) -> SetFamily:
@@ -89,6 +104,7 @@ def full_star(n: int, k: int, t: int) -> SetFamily:
     """All k-sets containing [t]."""
     if not (n > k >= t > 0):
         raise ValueError(f"need n > k >= t > 0, got n={n}, k={k}, t={t}")
+    _capped(n, lambda: comb(n - t, k - t))
     head = mask_of(range(1, t + 1))
     return SetFamily.from_masks(
         n, (head | mask_of(rest) for rest in combinations(range(t + 1, n + 1), k - t)))
@@ -96,8 +112,9 @@ def full_star(n: int, k: int, t: int) -> SetFamily:
 
 def hilton_milner(n: int, k: int) -> SetFamily:
     """k-sets containing 1 that meet [2, k+1], plus [2, k+1] itself."""
-    if not n > 2 * k:
-        raise ValueError(f"need n > 2k, got n={n}, k={k}")
+    if k < 1 or not n > 2 * k:
+        raise ValueError(f"need n > 2k >= 2, got n={n}, k={k}")
+    _capped(n, lambda: comb(n - 1, k - 1) - comb(n - k - 1, k - 1) + 1)
     block = mask_of(range(2, k + 2))
     masks = [block]
     for rest in combinations(range(2, n + 1), k - 1):
@@ -111,11 +128,11 @@ def triangle(n: int, k: int) -> SetFamily:
     """k-sets meeting [3] in at least two elements."""
     if not n > 2 * k:
         raise ValueError(f"need n > 2k, got n={n}, k={k}")
+    insides = [i for i in ((1, 2), (1, 3), (2, 3), (1, 2, 3)) if len(i) <= k]
+    _capped(n, lambda: sum(comb(n - 3, k - len(i)) for i in insides))
     masks = []
-    for inside in (1, 2), (1, 3), (2, 3), (1, 2, 3):
+    for inside in insides:
         need = k - len(inside)
-        if need < 0:
-            continue
         im = mask_of(inside)
         for rest in combinations(range(4, n + 1), need):
             masks.append(im | mask_of(rest))
@@ -124,47 +141,27 @@ def triangle(n: int, k: int) -> SetFamily:
 
 def b_family(n: int, d: int) -> SetFamily:
     """{B : |B \\ [2]| <= d - 1}; a 2d-union family with one overflow layer."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return _near_base(n, (1, 2), d - 1)
+    return _near_katona(n, 2 * d, 1)
 
 
 def d_even(n: int, d: int) -> SetFamily:
     """{D : |D \\ [4]| <= d - 2}; 2d-union, overflow exceeds the even bound below n = 4d - 1."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    return _near_base(n, (1, 2, 3, 4), d - 2)
+    return _near_katona(n, 2 * d, 2)
 
 
 def d_2r(n: int, r: int) -> SetFamily:
     """{D : |D \\ [6]| <= r - 3}; the 2r-union family behind the crossover analysis."""
-    if r < 3:
-        raise ValueError(f"need r >= 3, got {r}")
-    if n < 6:
-        raise ValueError(f"need n >= 6, got {n}")
-    return _near_base(n, tuple(range(1, 7)), r - 3)
+    return _near_katona(n, 2 * r, 3, "r")
 
 
 def d_odd5(n: int, r: int) -> SetFamily:
     """{F : |F \\ [5]| <= r - 2}; the (2r+1)-union analogue on base [5]."""
-    if r < 2:
-        raise ValueError(f"need r >= 2, got {r}")
-    if n < 5:
-        raise ValueError(f"need n >= 5, got {n}")
-    return _near_base(n, tuple(range(1, 6)), r - 2)
+    return _near_katona(n, 2 * r + 1, 2, "r")
 
 
 def g_family(n: int, d: int) -> SetFamily:
     """{G : |G \\ [3]| <= d - 1}; a (2d+1)-union family with two overflow layers."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    return _near_base(n, (1, 2, 3), d - 1)
+    return _near_katona(n, 2 * d + 1, 1)
 
 
 def ball(n: int, center: tuple[int, ...], u: int) -> SetFamily:
@@ -183,6 +180,7 @@ def lex_segment(n: int, k: int, m: int) -> SetFamily:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not 0 <= m <= comb(n, k):
         raise ValueError(f"segment length {m} outside [0, C({n},{k})]")
+    _capped(n, lambda: m)
     return SetFamily.from_masks(
         n, (mask_of(c) for c in islice(combinations(range(1, n + 1), k), m)))
 

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 ALGEBRAIC_CAP = 63  # single machine word for masks
 SEARCH_CAP = 24     # enforced by search entry points, not here
+MEMBER_CAP = 1 << 16   # members of a constructed family, checked before enumerating
 
 
 class CapExceeded(ValueError):

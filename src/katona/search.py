@@ -63,7 +63,7 @@ from .core import (
     CapExceeded, SEARCH_CAP, SetFamily, diameter, family_from_json_dict,
     family_to_json_dict, is_t_intersecting, is_u_union, mask_of,
 )
-from .bounds import BoundReport, walk_gap_bound, walk_skip_bound
+from .bounds import walk_gap_bound, walk_skip_bound
 from . import constructions as cons
 
 DIAMETRAL_CENTER_CAP = 20
@@ -452,30 +452,19 @@ class _Incumbent:
 # ---------------------------------------------------------------------------
 # layered initial-complex engine
 
-def _gap_sets(n: int, k: int) -> dict[int, int]:
-    """Mask -> cap C(n, k-p-1) for the missing-staircase sets (1..p, p+2, ..., 2k-p)."""
-    out = {}
-    for p in range(0, k):
-        els = list(range(1, p + 1)) + list(range(p + 2, 2 * k - p + 1, 2))
-        if len(els) != k or (els and els[-1] > n):
-            continue
-        m = mask_of(els)
-        cap = walk_gap_bound(n, k, p)
-        out[m] = min(out.get(m, cap), cap)
-    return out
-
-
-def _skip_sets(n: int, k: int) -> dict[int, int]:
-    """Mask -> cap for the missing arithmetic staircases (p, p+2, ..., p+2k-2)."""
-    out = {}
-    for p in range(2, k):
-        els = list(range(p, p + 2 * k - 1, 2))
-        if len(els) != k or els[-1] > n:
-            continue
-        m = mask_of(els)
-        cap = walk_skip_bound(n, k, p)
-        out[m] = min(out.get(m, cap), cap)
-    return out
+def _walk_caps(n: int, k: int) -> dict[int, int]:
+    """Mask -> the least walk cap of the missing k-set staircases in [n]: the
+    gap sets (1..p, p+2, ..., 2k-p), p < k, with `walk_gap_bound`, and the
+    skip sets (p, p+2, ..., p+2k-2), 2 <= p < k, with `walk_skip_bound`."""
+    stairs = [((*range(1, p + 1), *range(p + 2, 2 * k - p + 1, 2)), walk_gap_bound, p)
+              for p in range(k)]
+    stairs += [(range(p, p + 2 * k - 1, 2), walk_skip_bound, p) for p in range(2, k)]
+    caps: dict[int, int] = {}
+    for els, bound, p in stairs:
+        if els[-1] <= n:
+            m, cap = mask_of(els), bound(n, k, p)
+            caps[m] = min(caps.get(m, cap), cap)
+    return caps
 
 
 _CANDIDATE_CAP = 20_000
@@ -583,10 +572,7 @@ class _LayeredDFS:
             self.spans.append((start, len(self.masks)))
         self.index = {m: i for i, m in enumerate(self.masks[:self.N])}
         for k in inst.levels:
-            sp = _gap_sets(n, k)
-            for m, c in _skip_sets(n, k).items():
-                sp[m] = min(sp.get(m, c), c)
-            for m, c in sp.items():
+            for m, c in _walk_caps(n, k).items():
                 self.special_cap[self.index[m]] = c
         self.specials = sum(1 << i for i in self.special_cap)
         self.ready0 = sum(1 << i for i, c in enumerate(self.missing0) if not c)
@@ -781,11 +767,12 @@ def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int]]:
     """The exhaustive engine's candidate masks, ascending, and for each anchor
     a the bitset of the candidates outside a's extremal family."""
     sizes = obj.sizes(inst)
-    pool = [m for m in range(1 << inst.n) if m.bit_count() in sizes]
-    if len(pool) > _EXHAUSTIVE_POOL_CAP:
+    size = sum(comb(inst.n, k) for k in sizes)
+    if size > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
-            f"exhaustive pool of {len(pool)} candidates exceeds "
+            f"exhaustive pool of {size} candidates exceeds "
             f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
+    pool = sorted(m for k in sizes for m in _level(inst.n, k)[0])
     out = [sum(1 << i for i, m in enumerate(pool) if obj.outside(inst, a, m))
            for a in obj.anchors(inst)]
     return pool, out
@@ -877,9 +864,10 @@ def maximize(objective: str, params: dict,
     if restricted is None:
         restricted = obj.shift_invariant
     deadline = None if options.time_limit is None else t0 + options.time_limit
-    incumbent = _Incumbent(obj, inst)
+    # each engine refuses too many candidates before the seeds are built
     if restricted:
         engine = _LayeredDFS(obj, inst, options.use_pruning)
+        incumbent = _Incumbent(obj, inst)
         timed_out = engine.run(incumbent, deadline)
         nodes = engine.nodes
         # no count when the search stopped early or only the seed reached
@@ -889,6 +877,7 @@ def maximize(objective: str, params: dict,
         reduction = obj.relation.reduction
     else:
         pool, out = _pool(obj, inst)
+        incumbent = _Incumbent(obj, inst)
         compatible = obj.relation.compatible
         nodes, timed_out = _exhaustive(
             pool, lambda a, b: compatible(a, b, inst.u), out, incumbent,
@@ -904,55 +893,7 @@ def maximize(objective: str, params: dict,
 
 
 # ---------------------------------------------------------------------------
-# compression verification and certificate rechecking
-
-def verify_hilton(n: int, a: int, b: int) -> BoundReport:
-    """For every cross-intersecting pair, the same-size lexicographic
-    segments must be cross-intersecting too; checked over all pairs."""
-    if n <= a + b:
-        raise ValueError(f"need n > a + b, got n={n}, a={a}, b={b}")
-    if comb(n, a) + comb(n, b) > 22:
-        raise CapExceeded(
-            f"C({n},{a}) + C({n},{b}) = {comb(n, a) + comb(n, b)} exceeds 22")
-    a_sets = [mask_of(c) for c in combinations(range(1, n + 1), a)]
-    b_sets = [mask_of(c) for c in combinations(range(1, n + 1), b)]
-    # for each b-set, the a-sets disjoint from it, as an index mask
-    disjoint = []
-    for bm in b_sets:
-        dm = 0
-        for i, am in enumerate(a_sets):
-            if am & bm == 0:
-                dm |= 1 << i
-        disjoint.append(dm)
-    max_allowed = [0] * (len(a_sets) + 1)
-    for fam_bits in range(1 << len(a_sets)):
-        size = fam_bits.bit_count()
-        allowed = sum(1 for dm in disjoint if fam_bits & dm == 0)
-        if allowed > max_allowed[size]:
-            max_allowed[size] = allowed
-    counterexample = None
-    for s in range(1, len(a_sets) + 1):
-        for t in range(1, max_allowed[s] + 1):
-            seg_a = cons.lex_segment(n, a, s)
-            seg_b = cons.lex_segment(n, b, t)
-            for am in seg_a.members:
-                for bm in seg_b.members:
-                    if am & bm == 0:
-                        counterexample = (s, t,
-                                          family_to_json_dict(seg_a),
-                                          family_to_json_dict(seg_b))
-                        break
-                if counterexample:
-                    break
-            if counterexample:
-                break
-        if counterexample:
-            break
-    return BoundReport(
-        name="hilton_compression", params={"n": n, "a": a, "b": b},
-        holds=counterexample is None, counterexample=counterexample,
-        formula="cross-intersecting sizes stay cross-intersecting as lex segments")
-
+# certificate rechecking
 
 def recheck(cert: SearchCertificate) -> bool:
     """Re-derive feasibility (through core's predicates) and the objective

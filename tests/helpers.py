@@ -5,25 +5,13 @@ from __future__ import annotations
 import random
 
 from katona import SetFamily
+from katona.cli import _random_union_family as random_u_union_family  # noqa: F401
 
 
 def random_family(rng: random.Random, n: int, max_members: int = 12) -> SetFamily:
     count = rng.randrange(0, max_members + 1)
     return SetFamily.from_masks(
         n, (rng.randrange(1 << n) for _ in range(count)))
-
-
-def random_u_union_family(rng: random.Random, n: int, u: int,
-                          tries: int = 20) -> SetFamily:
-    """Grow a u-union family by rejection sampling."""
-    masks: list[int] = []
-    for _ in range(tries):
-        m = rng.randrange(1 << n)
-        if m.bit_count() > u:
-            continue
-        if all((m | o).bit_count() <= u for o in masks):
-            masks.append(m)
-    return SetFamily.from_masks(n, masks)
 
 
 def random_t_intersecting_family(rng: random.Random, n: int, t: int,

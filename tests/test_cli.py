@@ -1,11 +1,15 @@
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katona import family_from_json, katona, maximize
-from katona.cli import run
+from katona import b_family, family_from_json, katona, maximize
+from katona.cli import _BOUNDS, _PREDICATES, _SUITES, _TRANSFORMS, _WALKS, run
+from katona.constructions import CONSTRUCTIONS
+from katona.search import OBJECTIVES
 
 
 def run_json(capsys, argv):
@@ -177,9 +181,10 @@ def test_search_modes(capsys):
     assert obj["witness"]["sets"] == [[1, 2], [1, 3], [2, 3]]
 
 
-def test_verify_suite_hilton(capsys):
-    code, obj = run_json(capsys, ["verify", "--suite", "hilton"])
-    assert code == 0 and obj["holds"]
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_verify_suite(capsys, suite):
+    code, obj = run_json(capsys, ["verify", "--suite", suite])
+    assert code == 0 and obj["holds"] is True and obj["violations"] == []
 
 
 def test_usage_and_cap_exit_codes(capsys, tmp_path):
@@ -188,6 +193,11 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
     assert run(["search", "--objective", "max-union-size", "--n", "30",
                 "--u", "4"]) == 3
     assert run(["construct", "--family", "katona", "--n", "5", "--u", "9"]) == 2
+    # families and searches too large to build are refused at once
+    for argv in (["construct", "--family", "katona", "--n", "40", "--u", "38"],
+                 ["construct", "--family", "triangle", "--n", "63", "--k", "30"],
+                 ["search", "--objective", "max-union-size", "--n", "22", "--u", "21"]):
+        assert run(argv) == 3, argv
     capsys.readouterr()
     # a missing flag is a usage error naming the flag, never a traceback
     fam = tmp_path / "f.json"
@@ -289,3 +299,73 @@ def test_recheck_input_contract_fuzz(tmp_path_factory, key, value):
     path = tmp_path_factory.getbasetemp() / "fuzzed-cert.json"
     path.write_text(json.dumps({**_valid_certificate(), key: value}))
     assert run(["recheck", "--input", str(path)]) in (0, 1, 2)
+
+
+def _dashed(names):
+    return sorted(name.replace("_", "-") for name in names)
+
+
+# subcommand -> (its choice flag and the choices, its integer flags, the
+# family or certificate files it reads)
+SUBCOMMANDS = {
+    "construct": ("--family", _dashed(CONSTRUCTIONS),
+                  ("n", "u", "k", "t", "d", "r", "x", "m"), ()),
+    "check": ("--pred", sorted(_PREDICATES), ("t", "u"), ("--input", "--input2")),
+    "transform": ("--op", sorted(_TRANSFORMS), ("p",), ("--input",)),
+    "overflow": ("--parity", ["even", "odd"], ("d",), ("--input",)),
+    "walks": ("--mode", sorted(_WALKS), ("n", "k", "t", "a", "b"), ("--input",)),
+    "bound": ("--name", sorted(_BOUNDS),
+              ("n", "u", "k", "t", "d", "r", "p", "a", "b", "ell"), ("--input", "--input2")),
+    "search": ("--objective", _dashed(OBJECTIVES), ("n", "u", "k", "d"), ()),
+    "verify": ("--suite", sorted(_SUITES), (), ()),
+    "recheck": (None, [], (), ("--input",)),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Valid and malformed family and certificate files, and a missing path."""
+    base = tmp_path_factory.mktemp("fuzz")
+    cert = _valid_certificate()
+    texts = [json.dumps({"n": 5, "sets": [[1, 2], [1, 3], [2, 3]]}),
+             json.dumps({"n": 6, "hex": [format(m, "x") for m in b_family(6, 2)]}),
+             json.dumps({"n": 4, "sets": []}), json.dumps({"n": 3, "sets": [[]]}),
+             json.dumps(cert), json.dumps({**cert, "optimum": "7"}), "{not json"]
+    texts += [json.dumps(bad) for bad in BAD_FAMILIES]
+    paths = []
+    for i, text in enumerate(texts):
+        path = base / f"{i}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    return paths + [str(base / "missing.json")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_every_subcommand(fuzz_files, data):
+    # a subcommand with a drawn choice, integer flags in [-2, 63] and input
+    # files answers 0, 1, 2 or 3 without a traceback, and 1 only as a verdict
+    command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    choice_flag, choices, int_flags, inputs = SUBCOMMANDS[command]
+    argv = [command]
+    if choice_flag:
+        argv += [choice_flag, data.draw(st.sampled_from(choices))]
+    if int_flags:
+        flags = data.draw(st.dictionaries(st.sampled_from(int_flags), st.integers(-2, 63)))
+        for flag, value in flags.items():
+            argv += [f"--{flag}", str(value)]
+    for flag in inputs:
+        argv += [flag, data.draw(st.sampled_from(fuzz_files))]
+    if command == "search":
+        argv += ["--time-limit", "1"]
+    if command == "walks" and data.draw(st.booleans()):
+        argv.append("--brute")
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        verdict = json.loads(out.getvalue())
+        assert False in (verdict.get("holds"), verdict.get("all_hit"),
+                         verdict.get("recheck")), argv

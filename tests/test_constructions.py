@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from katona import CapExceeded, constructions
 from katona import (
     ConstructionSpec, at_least, b_family, ball, construct, d_2r,
     d_even, d_odd5, diameter, full_star, g_family,
@@ -130,6 +131,70 @@ def test_ball_properties():
                 b = ball(n, center, u)
                 assert len(b) == len(katona(n, u))
                 assert diameter(b) == u
+
+
+# -- the near-Katona ladder and the member cap -------------------------------------
+
+def test_near_katona_ladder():
+    # N_s(n, u) = {S : |S \ [2s + h]| <= d - s} is u-union, and the named
+    # families are its rungs
+    for n in range(1, 10):
+        for u in range(1, n):
+            d, h = divmod(u, 2)
+            for s in range(d + 1):
+                if n < 2 * s + h:
+                    continue
+                base = mask_of(range(1, 2 * s + h + 1))
+                rung = constructions._near_katona(n, u, s)
+                assert set(rung.members) == {
+                    m for m in range(1 << n) if (m & ~base).bit_count() <= d - s}
+                assert is_u_union(rung, u), (n, u, s)
+            assert katona(n, u) == constructions._near_katona(n, u, 0)
+    rungs = ((b_family, 0, 1), (g_family, 1, 1), (d_even, 0, 2), (d_odd5, 1, 2),
+             (d_2r, 0, 3))
+    for fam, h, s in rungs:
+        for n in range(2 * s + h, 11):
+            for d in range(s, 6):
+                assert fam(n, d) == constructions._near_katona(n, 2 * d + h, s)
+
+
+# the constructions whose member count is checked, with valid parameters;
+# katona_star is checked through the katona family it edits
+CAPPED = (
+    (katona, lambda n: [(n, u) for u in range(1, n)]),
+    (katona_x, lambda n: [(n, u, x) for u in range(1, n, 2) for x in (1, n)]),
+    (ball, lambda n: [(n, (1, n), u) for u in range(1, n)]),
+    (b_family, lambda n: [(n, d) for d in range(1, n)] if n >= 2 else []),
+    (d_odd5, lambda n: [(n, r) for r in range(2, n)] if n >= 5 else []),
+    (full_star, lambda n: [(n, k, t) for k in range(1, n) for t in range(1, k + 1)]),
+    (hilton_milner, lambda n: [(n, k) for k in range(1, (n + 1) // 2)]),
+    (triangle, lambda n: [(n, k) for k in range(0, (n + 1) // 2)]),
+    (lex_segment, lambda n: [(n, k, comb(n, k) // 2) for k in range(n + 1)]),
+)
+
+
+def test_member_cap_counts_exactly(monkeypatch):
+    # each closed-form count is the family's size: a cap at the size builds
+    # the family, a cap one below refuses it
+    for fam, grid in CAPPED:
+        for n in range(0, 10):
+            for args in grid(n):
+                size = len(fam(*args))
+                monkeypatch.setattr(constructions, "MEMBER_CAP", size)
+                assert len(fam(*args)) == size
+                if size:
+                    monkeypatch.setattr(constructions, "MEMBER_CAP", size - 1)
+                    with pytest.raises(CapExceeded, match=f"^{size} members exceed"):
+                        fam(*args)
+                monkeypatch.undo()
+
+
+def test_member_cap_refuses_huge_families_at_once():
+    for fam, args in ((katona, (40, 38)), (triangle, (63, 30)), (full_star, (63, 30, 1)),
+                      (hilton_milner, (63, 30)), (ball, (40, (1,), 38)),
+                      (lex_segment, (63, 30, constructions.MEMBER_CAP + 1))):
+        with pytest.raises(CapExceeded, match="members exceed the cap"):
+            fam(*args)
 
 
 # -- lexicographic order ------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import sys
+import time
 from functools import cache
 from itertools import combinations
 from pathlib import Path
@@ -13,7 +14,7 @@ from katona import (
     b_family, ball, d_even, d_even_overflow, diameter, diametral_overflow,
     down_closure, elements_of, family_from_sets, g_family, katona, katona_bound,
     katona_overflow_of, maximize, overflow_even_of, overflow_odd_of, recheck,
-    search, triangle, verify_hilton,
+    mask_of, search, triangle, verify_hilton,
 )
 from helpers import random_family
 
@@ -165,6 +166,19 @@ def test_layered_bitsets_match_their_definitions():
                         1 << i for i, b in enumerate(masks)
                         if ((a | b).bit_count() > u if u is not None
                             else not a & b)), (obj, n, v, j)
+
+
+def test_walk_caps_example():
+    # the 4-sets of [9]: gap sets (1..p, p+2, ..., 8-p) for p < 4 with cap
+    # C(9, 3-p), and skip sets (p, p+2, p+4, p+6) for p = 2, 3; the skip set
+    # (2,4,6,8) ties the gap cap C(9, 3) and (3,5,7,9) has 126 - 70 + 56
+    assert search._walk_caps(9, 4) == {
+        mask_of((2, 4, 6, 8)): 84, mask_of((1, 3, 5, 7)): 36,
+        mask_of((1, 2, 4, 6)): 9, mask_of((1, 2, 3, 5)): 1,
+        mask_of((3, 5, 7, 9)): 112}
+    # a staircase must fit in [n]: (3,5,7,9) and (2,4,6,8) drop out at n = 7
+    assert search._walk_caps(7, 4) == {
+        mask_of((1, 3, 5, 7)): 21, mask_of((1, 2, 4, 6)): 7, mask_of((1, 2, 3, 5)): 1}
 
 
 def test_diametral_cap():
@@ -444,6 +458,17 @@ def test_search_validation():
         maximize("overflow_even", {"n": 5, "d": 2})   # needs n >= 2d + 2
     with pytest.raises(ValueError):
         maximize("nonsense", {"n": 5})
+
+
+def test_caps_refuse_before_the_seeds_are_built():
+    # both engines count their candidates from binomials first: the seed of
+    # (22, 21) alone has 2^21 members, and the pool of (20, 19) 2^20
+    t0 = time.process_time()
+    with pytest.raises(CapExceeded, match="layer candidates exceed"):
+        maximize("max_union_size", {"n": 22, "u": 21})
+    with pytest.raises(CapExceeded, match="exhaustive pool of 1048576 candidates"):
+        maximize("diametral_overflow", {"n": 20, "u": 19})
+    assert time.process_time() - t0 < 1
 
 
 # -- certificates ----------------------------------------------------------------------
