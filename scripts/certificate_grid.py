@@ -12,6 +12,12 @@ depends on the machine; a run refused by a resource cap is recorded with
 the cap's message.
 
     PYTHONPATH=src python3 scripts/certificate_grid.py --out grid.json
+
+`--diff OLD NEW` compares two such files and is the identity gate for a
+change that may move only node counts: it lists every record whose
+certificate differs in a field other than `nodes`, or that only one file
+holds, and exits 1 if there is any.  Records timed out in either file are
+skipped and counted.
 """
 
 import argparse
@@ -53,14 +59,55 @@ def grid(engines, time_limit):
                     yield record
 
 
+def _keyed(path):
+    """The records of a grid file by (engine, objective, params)."""
+    with open(path) as fh:
+        return {(r["engine"], r["objective"], json.dumps(r["params"], sort_keys=True)): r
+                for r in json.load(fh)}
+
+
+def _without_nodes(record):
+    if "certificate" not in record:
+        return record
+    cert = dict(record["certificate"])
+    del cert["nodes"]
+    return {**record, "certificate": cert}
+
+
+def diff(old_path, new_path) -> int:
+    """Print the records that differ other than in `nodes`; 1 if any do."""
+    old, new = _keyed(old_path), _keyed(new_path)
+    keys = sorted(old.keys() | new.keys())
+    differ = skipped = 0
+    for key in keys:
+        a, b = old.get(key), new.get(key)
+        if a is not None and b is not None:
+            if "timed_out" in a or "timed_out" in b:
+                skipped += 1
+                continue
+            a, b = _without_nodes(a), _without_nodes(b)
+            if a == b:
+                continue
+        differ += 1
+        print(f"{' '.join(key)}: {a} -> {b}")
+    print(f"{differ} of {len(keys)} records differ other than "
+          f"in nodes ({skipped} skipped as timed out)", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="JSON file to write")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="JSON file to write")
+    mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                      help="compare two grid files, ignoring nodes")
     ap.add_argument("--unrestricted", action="store_true",
                     help="add the exhaustive engine for n <= 7")
     ap.add_argument("--time-limit", type=float, default=120.0,
                     help="seconds per run (default 120)")
     args = ap.parse_args()
+    if args.diff:
+        sys.exit(diff(*args.diff))
     engines = ENGINES + (UNRESTRICTED if args.unrestricted else ())
     t0 = time.process_time()
     records = list(grid(engines, args.time_limit))

@@ -40,8 +40,15 @@ Two engines back `maximize`:
   maximum.  This is the independent oracle for the restricted engine and
   the only proven route for objectives not known to be shift-invariant.
   With one pool bitset `out[a]` per anchor, a family R has the value
-  min_a |R & out[a]|, and by monotonicity a node (R, P, X) whose bound
-  min_a |(R | P) & out[a]| is below the incumbent is pruned.
+  min_a |R & out[a]|.  It is a branch and bound with two bounds on a node
+  (R, P, X), tested before the node is entered.  The anchor bound: by
+  monotonicity, no family below can reach the incumbent when
+  min_a |(R | P) & out[a]| is below it.  The witness bound: the pool is in
+  canonical key order, so when that minimum equals the incumbent (only
+  ties remain) and the lowest pool index where R | P and the witness W
+  differ lies in W, every maximal family below has a larger key than W.
+  Only ties with smaller keys are valued, so `nodes` falls toward 1 when
+  the seed is already optimal.
 
 Certificates carry one witness (smallest canonical encoding among the
 maximizers found), the exact optimum, and enough metadata to be re-checked
@@ -764,80 +771,126 @@ class _LayeredDFS:
 # unrestricted exhaustive engine (maximal feasible families)
 
 def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int]]:
-    """The exhaustive engine's candidate masks, ascending, and for each anchor
-    a the bitset of the candidates outside a's extremal family."""
+    """The exhaustive engine's candidate masks in canonical key order (size,
+    then mask), and for each anchor a the bitset of the candidates outside
+    a's extremal family."""
     sizes = obj.sizes(inst)
     size = sum(comb(inst.n, k) for k in sizes)
     if size > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
             f"exhaustive pool of {size} candidates exceeds "
             f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
-    pool = sorted(m for k in sizes for m in _level(inst.n, k)[0])
+    pool = sorted((m for k in sizes for m in _level(inst.n, k)[0]),
+                  key=lambda m: (m.bit_count(), m))
     out = [sum(1 << i for i, m in enumerate(pool) if obj.outside(inst, a, m))
            for a in obj.anchors(inst)]
     return pool, out
 
 
-def _exhaustive(pool: list[int], compat, out: list[int], incumbent: _Incumbent,
-                deadline: float | None, use_pruning: bool) -> tuple[int, bool]:
-    """Value each maximal feasible family R (a pool bitset) that the bound
-    leaves open as min_a |R & out[a]| and offer it to the incumbent; return
+def _keys_not_below(a: int, w: int) -> bool:
+    """The witness bound's test on pool bitsets: when it holds, no family F
+    within a, other than a proper subset of w, has a smaller key than w.
+
+    Keys compare as the ascending index sequences, since the pool is in key
+    order.  The i-th smallest index of F is at least that of a, so when the
+    lowest index d where a and w differ is in w (or a = w), F agrees with w
+    below d at best and then has a larger index or ends, and ending there
+    makes F a proper subset of w.
+    """
+    d = a ^ w
+    return not d or d & -d & w != 0
+
+
+def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
+                incumbent: _Incumbent, deadline: float | None,
+                use_pruning: bool) -> tuple[int, bool]:
+    """Value each maximal feasible family R (a pool bitset) that the bounds
+    leave open as min_a |R & out[a]| and offer it to the incumbent; return
     how many were valued and whether the deadline stopped the enumeration.
 
-    With pruning, a node (R, P, X) returns when min_a |(R | P) & out[a]| <
-    incumbent.value: each maximal family below it is R | S with S within P,
-    and a minimum of counts is monotone under adding members.  The test is
-    strict, so every tie is still offered.
+    Every maximal family below a node (R, P, X) is R | S with S within P.
+    With pruning, a node is entered only when both bounds leave it open:
+
+    * anchor bound: min_a |(R | P) & out[a]| >= incumbent.value, since a
+      minimum of member counts never decreases when members are added;
+    * witness bound: when some anchor's count equals incumbent.value, no
+      family below can beat the incumbent, only tie it, and once a searched
+      witness W exists a tie matters only with a smaller key.  The pool is
+      in key order, so a family F within A = R | P has its i-th smallest
+      index at least A's; when the lowest index where A and W differ is in
+      W (or A = W), every such F is a proper subset of W, which is not
+      maximal, or has a key at least W's (`_keys_not_below`).
+
+    Each child is tested before the call, so a cut child costs no call.
+    Only ties with smaller keys are offered, so the optimum and witness do
+    not depend on pruning, and the count of valued families falls toward 1
+    when the seed is already optimal.
     """
     nv = len(pool)
     adj = [0] * nv
-    for i in range(nv):
+    start = 0
+    for i, a in enumerate(pool):
+        if compatible(a, a, u):
+            start |= 1 << i
         for j in range(i + 1, nv):
-            if compat(pool[i], pool[j]):
+            if compatible(a, pool[j], u):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    start = 0
-    for i in range(nv):
-        if compat(pool[i], pool[i]):
-            start |= 1 << i
     cliques = calls = 0
+    wb = 0                              # the searched witness's pool bitset
+    bounded = out if use_pruning else ()    # without pruning no bound cuts
 
     def expand(r: int, p: int, x: int):
-        nonlocal cliques, calls
+        nonlocal cliques, calls, wb
         calls += 1
         if calls & 511 == 0:
             _check_deadline(deadline)
-        if p == 0 and x == 0:
+        if not p:                       # x is empty too: R is maximal
             cliques += 1
             value = min((r & o).bit_count() for o in out)
             if value >= incumbent.value:
+                key = incumbent.key
                 incumbent.offer(value, [pool[i] for i in _bits(r)])
+                if incumbent.key is not key:
+                    wb = r
             return
-        if use_pruning:
-            rp = r | p
-            for o in out:
-                if (rp & o).bit_count() < incumbent.value:
-                    return
-        pux = p | x
-        best_u, best_deg = -1, -1
-        mm = pux
+        # any pivot is valid; a vertex of P is adjacent to at most |P| - 1
+        most = p.bit_count() - 1
+        best = -1
+        mm = p | x
         while mm:
             v = (mm & -mm).bit_length() - 1
             mm &= mm - 1
             deg = (p & adj[v]).bit_count()
-            if deg > best_deg:
-                best_deg, best_u = deg, v
-        cand = p & ~adj[best_u]
+            if deg > best:
+                best, pivot = deg, v
+                if deg >= most:
+                    break
+        cand = p & ~adj[pivot]
         while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            vb = 1 << v
-            expand(r | vb, p & adj[v], x & adj[v])
-            p &= ~vb
+            vb = cand & -cand
+            cand ^= vb
+            av = adj[vb.bit_length() - 1]
+            pc, xc = p & av, x & av
+            p ^= vb
             x |= vb
+            if xc and not pc:
+                continue                # R | v extends only into X: not maximal
+            a = r | vb | pc
+            value, tie = incumbent.value, False
+            for o in bounded:
+                c = (a & o).bit_count()
+                if c < value:
+                    break               # the anchor bound
+                tie = tie or c == value
+            else:
+                if not (tie and incumbent.key is not None and _keys_not_below(a, wb)):
+                    expand(r | vb, pc, xc)
 
     try:
         _check_deadline(deadline)
+        # the root needs no test: the incumbent is a seed then, without a
+        # key, and the pool holds every member that counts for it
         expand(0, start, 0)
     except _TimeUp:
         return cliques, True
@@ -878,10 +931,9 @@ def maximize(objective: str, params: dict,
     else:
         pool, out = _pool(obj, inst)
         incumbent = _Incumbent(obj, inst)
-        compatible = obj.relation.compatible
         nodes, timed_out = _exhaustive(
-            pool, lambda a, b: compatible(a, b, inst.u), out, incumbent,
-            deadline, options.use_pruning)
+            pool, obj.relation.compatible, inst.u, out, incumbent, deadline,
+            options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
         objective=objective, params={k: int(v) for k, v in params.items()},

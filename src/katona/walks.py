@@ -16,7 +16,7 @@ from math import comb
 
 from .core import SetFamily, CapExceeded
 
-BRUTE_STEP_CAP = 24
+BRUTE_STEP_CAP = 20
 
 
 @dataclass(frozen=True)

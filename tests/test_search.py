@@ -8,6 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
@@ -409,26 +410,48 @@ def test_pruning_does_not_change_results():
         assert pruned.nodes_explored <= free.nodes_explored
 
 
+# the unpruned engine enumerates 915 052 maximal families of diameter <= 4
+# in [6], and more at u = 5: several seconds to minutes each
+UNPRUNED_TOO_SLOW = {(name, 6, u) for name in ("max_diameter_size", "diametral_overflow")
+                     for u in (4, 5)}
+
+
 def test_exhaustive_pruning_does_not_change_results():
+    # both exhaustive bounds, on every objective and valid pair with n <= 6
+    # that the unpruned engine finishes in about a second, and two at n = 7
     on = SearchOptions(restrict_to_initial_complexes=False)
     off = SearchOptions(restrict_to_initial_complexes=False, use_pruning=False)
-    fewer = 0
-    for objective, params in (
-            ("max_union_size", {"n": 5, "u": 3}),
-            ("max_diameter_size", {"n": 5, "u": 3}),
-            ("overflow_even", {"n": 6, "d": 2}),
-            ("upper_layers", {"n": 5, "u": 3}),
-            ("overflow_odd", {"n": 7, "d": 2}),
-            ("diversity", {"n": 7, "k": 3}),
-            ("diametral_overflow", {"n": 6, "u": 3})):
-        pruned = maximize(objective, params, on)
+    cases = [(name, (n, v)) for name in search.OBJECTIVES
+             for n in range(1, 7) for v in range(1, n + 1)
+             if (name, n, v) not in UNPRUNED_TOO_SLOW]
+    cases += [("overflow_odd", (7, 2)), ("diversity", (7, 3))]
+    runs = fewer = 0
+    for objective, pair in cases:
+        params = dict(zip(search.OBJECTIVES[objective].params, pair))
+        try:
+            pruned = maximize(objective, params, on)
+        except ValueError:
+            continue                    # not a valid parameter pair
         free = maximize(objective, params, off)
-        assert pruned.optimum == free.optimum
-        assert pruned.witness == free.witness
+        assert pruned.optimum == free.optimum, (objective, params)
+        assert pruned.witness == free.witness, (objective, params)
         assert pruned.proven_optimal and free.proven_optimal
         assert pruned.nodes_explored <= free.nodes_explored
+        runs += 1
         fewer += pruned.nodes_explored < free.nodes_explored
-    assert fewer
+    assert runs >= 50 and fewer
+
+
+@given(st.integers(0, 255), st.integers(0, 255))
+def test_witness_bound_lemma(a, w):
+    # whenever the rule cuts, every F within a that is not a proper subset
+    # of w has an ascending index sequence (its key) at least w's
+    def key(m):
+        return [i for i in range(8) if m >> i & 1]
+    if search._keys_not_below(a, w):
+        for f in range(256):
+            if f & ~a == 0 and not (f & ~w == 0 and f != w):
+                assert key(f) >= key(w), (a, w, f)
 
 
 def test_time_limit_yields_honest_lower_bound():

@@ -83,8 +83,11 @@ def test_brute_unreachable_is_zero():
 
 
 def test_brute_cap():
-    with pytest.raises(CapExceeded):
-        brute_hit_count(30, 10, 1, 0, 0)
+    # 20 steps, C(20, 10) walks, still enumerate well under a second
+    assert brute_hit_count(20, 10, 3, 0, 0) == reflection_count(20, 10, 3, 0, 0)
+    for n, a, b in ((21, 0, 0), (23, 1, 1), (30, 0, 0)):
+        with pytest.raises(CapExceeded):
+            brute_hit_count(n, 10, 1, a, b)
 
 
 def test_reflection_matches_brute_on_small_grid():
