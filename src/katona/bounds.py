@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .core import (CapExceeded, SetFamily, family_to_json_dict,
-                   is_cross_t_intersecting, mask_of)
+                   is_cross_t_intersecting, mask_of, shadow)
 from .constructions import lex_segment
 
 
@@ -262,7 +262,6 @@ def sperner_cross_check(fam_a: SetFamily, fam_b: SetFamily) -> BoundReport:
 
 def shadow_bound_check(fam: SetFamily, ell: int) -> BoundReport:
     """|shadow_ell(F)| / C(n, ell) >= |F| / C(n, k) for k-uniform F, ell < k."""
-    from .core import shadow
     k = _uniform_size(fam, "family")
     if fam.members and not 0 <= ell < k:
         raise ValueError(f"need 0 <= ell < k, got ell={ell}, k={k}")

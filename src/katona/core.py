@@ -34,6 +34,11 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def mask_key(mask: int) -> tuple[int, int]:
+    """The canonical order on subsets: by size, then by mask value (colex)."""
+    return mask.bit_count(), mask
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based elements of a mask."""
     out = []
@@ -83,7 +88,7 @@ class SetFamily:
             if m < 0 or m & ~full:
                 raise ValueError(f"mask {m:#x} has elements outside [1, {n}]")
             seen.add(m)
-        ordered = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+        ordered = tuple(sorted(seen, key=mask_key))
         return cls(n, ordered)
 
     def __len__(self) -> int:
@@ -100,7 +105,7 @@ class SetFamily:
 
     def canonical_key(self) -> tuple[tuple[int, int], ...]:
         """Total order key on families: lexicographic over (size, mask) pairs."""
-        return tuple((m.bit_count(), m) for m in self.members)
+        return tuple(map(mask_key, self.members))
 
 
 def family_from_sets(n: int, sets: Iterable[Iterable[int]]) -> SetFamily:

@@ -31,7 +31,7 @@ Two engines back `maximize`:
   per-candidate incompatibility bitsets counted from `has` by a
   bit-sliced adder on first use.  It branches on the lowest ready index
   outside `blocked`, and runs on an explicit stack with one frame per
-  included member instead of recursing.
+  included member, which keeps its node's layer caps, instead of recursing.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -68,7 +68,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (
     CapExceeded, SEARCH_CAP, SetFamily, diameter, family_from_json_dict,
-    family_to_json_dict, is_t_intersecting, is_u_union, mask_of,
+    family_to_json_dict, is_t_intersecting, is_u_union, mask_key, mask_of,
 )
 from .bounds import walk_gap_bound, walk_skip_bound
 from . import constructions as cons
@@ -308,7 +308,14 @@ def _objective(name: str) -> Objective:
     return OBJECTIVES[name]
 
 
+def _check_params(obj: Objective, params: dict) -> None:
+    if set(params) != set(obj.params):
+        raise ValueError(f"need the parameters {', '.join(obj.params)}, "
+                         f"got {', '.join(map(str, params)) or 'none'}")
+
+
 def _instance(obj: Objective, params: dict) -> _Instance:
+    _check_params(obj, params)
     n, *rest = (int(params[p]) for p in obj.params)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -376,11 +383,12 @@ class SearchCertificate:
     def from_json_dict(cls, obj: dict) -> "SearchCertificate":
         if not isinstance(obj, dict):
             raise ValueError("a certificate must be a JSON object")
-        _objective(obj["objective"])
+        objective = _objective(obj["objective"])
         params = obj["params"]
         if not isinstance(params, dict) or any(
                 type(v) is not int for v in params.values()):
             raise ValueError(f"params must map names to integers, got {params!r}")
+        _check_params(objective, params)
         optimum = obj["optimum"]
         if isinstance(optimum, str) and re.fullmatch(r"-?[0-9]+", optimum):
             optimum = int(optimum)
@@ -445,15 +453,18 @@ class _Incumbent:
         self.key = None                # the witness's key, once a family is searched
         self.count = 0
 
-    def offer(self, value: int, masks: Sequence[int]) -> None:
+    def offer(self, value: int, masks: Sequence[int]) -> bool:
+        """Count a family of at least the incumbent value; True if it is the witness."""
         if value < self.value:
-            return
-        key = tuple(sorted((m.bit_count(), m) for m in masks))
+            return False
+        key = tuple(sorted(map(mask_key, masks)))
         if value > self.value:
             self.value, self.key, self.count = value, None, 0
         self.count += 1
         if self.key is None or key < self.key:
             self.key, self.masks = key, masks
+            return True
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +538,15 @@ class _LayeredDFS:
 
     A node at pos branches on the first ready, unblocked candidate j >= pos:
     include j, then exclude it; either way the child starts at j + 1.  The
-    special (gap/skip) candidates in [pos, j) and an excluded special j
-    lower their layer caps in index order, with a prune check after each.
-    The search runs on an explicit stack with one frame per included
-    candidate: the exclude branch is the node's last step, so its child
-    shares the frame, and the cap restores of the chain join the frame's
-    restore list.
+    special (gap/skip) candidates in [pos, j), nearest first, and an
+    excluded special j lower their layer caps, with a prune check after
+    each.  The bound b(pos) = |alive| + sum over levels of min(cap, counts +
+    candidates left from pos) never rises as pos grows or a cap falls, so
+    when prune(j) cuts the include child, b(j + 1) <= b(j) cuts the exclude
+    child too.  The stack has one frame per included j: (j, the caps at j's
+    node, the candidates j made ready, `blocked` before j).  An exclude
+    child shares its parent's frame; unwinding pops a frame, resets the
+    caps from it, undoes j and tries j's exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -566,11 +580,7 @@ class _LayeredDFS:
                 if k >= low:
                     self.counted |= span
                 continue
-            t = self._fact_t(k)
-            cap = comb(n, k)
-            if t >= 1:
-                cap = min(cap, comb(n, k - t))
-            self.caps0.append(cap)
+            self.caps0.append(min(comb(n, k), comb(n, k - self._meet(k, k))))
             # the immediate predecessors, plus the shadow above the lowest level
             extra = k if li else 0
             self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + extra
@@ -587,13 +597,12 @@ class _LayeredDFS:
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
 
-    def _fact_t(self, k: int) -> int:
-        """Layer k of a u-union family is (2(k - d) - h)-intersecting for
-        u = 2d + h; a uniform intersecting family is 1-intersecting."""
+    def _meet(self, k: int, size: int) -> int:
+        """The least |c & m| for a k-set c compatible with a member m of this
+        size: 1 for intersecting families, k + size - u for u-union ones, so
+        layer k >= d + 1 is (2(k - d) - h)-intersecting for u = 2d + h."""
         u = self.inst.u
-        if u is None:
-            return 1
-        return 2 * (k - u // 2) - u % 2
+        return 1 if u is None else k + size - u
 
     def _deps(self, j: int) -> list[int]:
         """Build deps[j], the candidates that need candidate j: its immediate
@@ -614,10 +623,9 @@ class _LayeredDFS:
 
         Adding has[x] over the x in j into bit planes (a bit-sliced counter)
         gives |c & j| for every set c at once.  A k-set c is incompatible
-        when that count is below t: t = k + |j| - u for u-union families,
-        where |c | j| > u, and t = 1 for intersecting ones.
+        when that count is below t = `_meet(k, |j|)`.
         """
-        m, u = self.masks[j], self.inst.u
+        m = self.masks[j]
         planes: list[int] = []             # planes[i]: bit i of the count
         for x in _bits(m):
             carry = self.has[x]
@@ -630,7 +638,7 @@ class _LayeredDFS:
                 planes.append(carry)
         inc, size = 0, m.bit_count()
         for k, span in self.level_bits:
-            t = 1 if u is None else k + size - u
+            t = self._meet(k, size)
             if t <= 0:
                 continue
             # compare the count with t from the top bit down: `eq` holds the
@@ -680,8 +688,7 @@ class _LayeredDFS:
         blocked = 0                        # sets incompatible with an included member
         alive = counted                    # counted free sets still compatible
         included: list[int] = []
-        stack = []                         # (j, restore, newly ready, blocked)
-        restore: list[tuple[int, int]] = []   # (level, old cap), in order
+        stack = []                         # (j, caps at j's node, newly ready, blocked)
 
         def prune(pos: int) -> bool:
             """Every objective's value is at most its counted members: the
@@ -706,64 +713,55 @@ class _LayeredDFS:
                 _check_deadline(deadline)
             open_ = (ready & ~blocked) >> pos
             j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-            branching = True
             for p in _bits(specials & ((1 << j) - (1 << pos))):
                 li = level_of[p]
                 if special_cap[p] < caps[li]:
-                    restore.append((li, caps[li]))
                     caps[li] = special_cap[p]
                     if prune(p + 1):
-                        branching = False
                         break
-            if branching and j == N:
-                self._leaf(incumbent, included, blocked, alive)
-                branching = False
-            if branching and not prune(j):
-                # include j; a pruned include child unwinds straight back
-                newly = 0
-                dj = deps[j]
-                if dj is None:
-                    dj = self._deps(j)
-                for t in dj:
-                    missing[t] -= 1
-                    if not missing[t]:
-                        newly |= 1 << t
-                stack.append((j, restore, newly, blocked))
-                ready |= newly
-                inc = incompat[j]
-                if inc is None:
-                    inc = self._incompat(j)
-                blocked |= inc
-                alive = counted & ~blocked
-                included.append(masks[j])
-                counts[level_of[j]] += 1
-                restore = []
-                if not prune(j + 1):
-                    pos = j + 1
-                    continue
-                branching = False
-            # exclude j, or unwind finished nodes until an exclude is open
-            while True:
-                if branching:
-                    li = level_of[j]
-                    cap = special_cap.get(j)
-                    if cap is not None and cap < caps[li]:
-                        restore.append((li, caps[li]))
-                        caps[li] = cap
+            else:
+                if j == N:
+                    self._leaf(incumbent, included, blocked, alive)
+                elif not prune(j):
+                    # include j; if prune(j) cuts it, b(j + 1) <= b(j) cuts the exclude
+                    newly = 0
+                    dj = deps[j]
+                    if dj is None:
+                        dj = self._deps(j)
+                    for t in dj:
+                        missing[t] -= 1
+                        if not missing[t]:
+                            newly |= 1 << t
+                    stack.append((j, tuple(caps), newly, blocked))
+                    ready |= newly
+                    inc = incompat[j]
+                    if inc is None:
+                        inc = self._incompat(j)
+                    blocked |= inc
+                    alive = counted & ~blocked
+                    included.append(masks[j])
+                    counts[level_of[j]] += 1
                     if not prune(j + 1):
-                        break
-                for li, cap in reversed(restore):
-                    caps[li] = cap
-                if not stack:
-                    return
-                j, restore, newly, blocked = stack.pop()
+                        pos = j + 1
+                        continue
+            # unwind to the first included j whose exclude child is open
+            while stack:
+                j, saved, newly, blocked = stack.pop()
+                caps[:] = saved
                 alive = counted & ~blocked
                 ready ^= newly
                 for t in deps[j]:
                     missing[t] += 1
                 included.pop()
-                counts[level_of[j]] -= 1
-                branching = True
+                li = level_of[j]
+                counts[li] -= 1
+                cap = special_cap.get(j)
+                if cap is not None and cap < caps[li]:
+                    caps[li] = cap
+                if not prune(j + 1):
+                    break
+            else:
+                return
             pos = j + 1
 
 
@@ -780,8 +778,7 @@ def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int]]:
         raise CapExceeded(
             f"exhaustive pool of {size} candidates exceeds "
             f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
-    pool = sorted((m for k in sizes for m in _level(inst.n, k)[0]),
-                  key=lambda m: (m.bit_count(), m))
+    pool = sorted((m for k in sizes for m in _level(inst.n, k)[0]), key=mask_key)
     out = [sum(1 << i for i, m in enumerate(pool) if obj.outside(inst, a, m))
            for a in obj.anchors(inst)]
     return pool, out
@@ -848,11 +845,9 @@ def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
         if not p:                       # x is empty too: R is maximal
             cliques += 1
             value = min((r & o).bit_count() for o in out)
-            if value >= incumbent.value:
-                key = incumbent.key
-                incumbent.offer(value, [pool[i] for i in _bits(r)])
-                if incumbent.key is not key:
-                    wb = r
+            if value >= incumbent.value and incumbent.offer(
+                    value, [pool[i] for i in _bits(r)]):
+                wb = r
             return
         # any pivot is valid; a vertex of P is adjacent to at most |P| - 1
         most = p.bit_count() - 1

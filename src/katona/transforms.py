@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import SetFamily, elements_of
+from .core import SetFamily, elements_of, mask_key
 
 
 def _shift(present: set[int], bi: int, bj: int) -> bool:
@@ -48,7 +48,7 @@ def _translate_step(n: int, present: set[int], p: int) -> int:
         raise ValueError(f"translate amount must be in [0, {n}], got {p}")
     low = [m for m in present if m & ((1 << p) - 1)]
     if low:  # name the first such member in canonical order
-        first = elements_of(min(low, key=lambda m: (m.bit_count(), m)))
+        first = elements_of(min(low, key=mask_key))
         raise ValueError(f"member {first} has an element <= {p}; cannot translate")
     moved = [m >> p for m in present]
     present.clear()

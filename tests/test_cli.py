@@ -202,7 +202,14 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
     # a missing flag is a usage error naming the flag, never a traceback
     fam = tmp_path / "f.json"
     fam.write_text(json.dumps({"n": 4, "sets": [[1, 2], [1, 3]]}))
+    # a certificate whose params miss one of its objective's
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "objective": "overflow_even", "params": {"n": 8}, "optimum": "0",
+        "witness": {"n": 8, "sets": []}, "proven_optimal": False,
+        "reduction": "initial_complex", "nodes": 0, "elapsed_ms": 0}))
     for argv, message in (
+            (["recheck", "--input", str(cert)], "need the parameters n, d, got n"),
             (["bound", "--name", "katona", "--n", "5"], "bound katona needs --u"),
             (["bound", "--name", "quintic"], "bound quintic needs --c"),
             (["bound", "--name", "quintic", "--c", "1/0"], "zero denominator"),

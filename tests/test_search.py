@@ -5,6 +5,7 @@ import sys
 import time
 from functools import cache
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,49 @@ def test_walk_caps_example():
         mask_of((1, 3, 5, 7)): 21, mask_of((1, 2, 4, 6)): 7, mask_of((1, 2, 3, 5)): 1}
 
 
+def _initial_families(n, k):
+    """Every initial k-uniform family on [n], a down-set of the elementary
+    moves j -> j - 1, as (member count, min |A & B| over its pairs, the
+    bitset of its indices in `sets`).  `combinations` order lists every
+    move's result first, so each down-set grows once, by its members in
+    that order."""
+    sets = [mask_of(c) for c in combinations(range(1, n + 1), k)]
+    index = {m: i for i, m in enumerate(sets)}
+    # bit b of m set and bit b - 1 clear, b >= 1: element b + 1 moves to b
+    need = [sum(1 << index[m ^ 3 << b - 1] for b in range(1, n)
+                if m >> b & 1 and not m >> b - 1 & 1) for m in sets]
+
+    def grow(fam, members, meet):
+        yield len(members), meet, fam
+        for i in range(members[-1] + 1 if members else 0, len(sets)):
+            if not need[i] & ~fam:
+                m = sets[i]
+                new_meet = min([meet] + [(m & sets[a]).bit_count() for a in members])
+                yield from grow(fam | 1 << i, members + [i], new_meet)
+    return sets, grow(0, [], k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layer_caps_hold_on_every_initial_family(n):
+    # every prune rests on these caps: an initial k-uniform family that
+    # misses a walk-cap staircase has at most the cap members, and a
+    # t-intersecting one at most C(n, k - t)
+    seen = {}
+    for k in range(1, n):
+        sets, families = _initial_families(n, k)
+        walk = [(sets.index(m), cap) for m, cap in search._walk_caps(n, k).items()]
+        seen[k] = 0
+        for size, meet, fam in families:
+            seen[k] += 1
+            for i, cap in walk:
+                assert fam >> i & 1 or size <= cap, (n, k, sets[i], fam)
+            for t in range(1, meet + 1):
+                assert size <= comb(n, k - t), (n, k, t, fam)
+        assert seen[k] > comb(n, k)        # at least every lex initial segment
+    if n == 8:
+        assert (seen[3], seen[4]) == (2431, 9304)
+
+
 def test_diametral_cap():
     with pytest.raises(CapExceeded):
         diametral_overflow(SetFamily.from_masks(21, [1]), 2)
@@ -337,6 +381,13 @@ LAYERED_PINS = [
     ("overflow_even", {"n": 11, "d": 3}, 36, 2, b_family(11, 3), 1626),
     # every free set counts, so including a member kills free sets
     ("max_union_size", {"n": 9, "u": 5}, 74, 1, katona(9, 5), 465),
+    # the perfbench ladder rungs, where the walk caps cut at large N
+    ("overflow_even", {"n": 12, "d": 3}, 45, 1, b_family(12, 3), 2483),
+    ("overflow_even", {"n": 13, "d": 3}, 55, 1, b_family(13, 3), 4094),
+    ("overflow_even", {"n": 14, "d": 3}, 66, 1, b_family(14, 3), 6929),
+    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 299),
+    ("upper_layers", {"n": 11, "u": 5}, 45, 1, katona(11, 5), 1479),
+    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 299),
 ]
 
 
@@ -556,6 +607,21 @@ def test_recheck_rejects_tampering():
         cert, witness=family_from_sets(5, [[1, 2], [3, 4], [1, 3]]),
         optimum=3)
     assert not recheck(infeasible)
+
+
+def test_params_must_match_the_objective():
+    # a missing or an extra parameter is refused by name, never a KeyError,
+    # and never written into a certificate
+    for params in ({"n": 8}, {"n": 8, "d": 2, "junk": 7}):
+        with pytest.raises(ValueError, match="need the parameters n, d"):
+            maximize("overflow_even", params)
+    cert = maximize("overflow_even", {"n": 8, "d": 2})
+    assert not recheck(dataclasses.replace(cert, params={"n": 8}))
+    assert not recheck(dataclasses.replace(cert, params={"n": 8, "d": 2, "k": 3}))
+    data = cert.to_json_dict()
+    del data["params"]["d"]
+    with pytest.raises(ValueError, match="need the parameters n, d"):
+        SearchCertificate.from_json_dict(data)
 
 
 # -- compression verification ------------------------------------------------------------
