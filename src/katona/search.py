@@ -29,9 +29,11 @@ Two engines back `maximize`:
   sets are all included, `has[x]` the sets containing element x, and
   `blocked` the sets incompatible with an included member, the OR of
   per-candidate incompatibility bitsets counted from `has` by a
-  bit-sliced adder on first use.  It branches on the lowest ready index
-  outside `blocked`, and runs on an explicit stack with one frame per
-  included member, which keeps its node's layer caps, instead of recursing.
+  bit-sliced adder on first use.  It branches on the lowest index of
+  `avail = ready & ~blocked`, and runs on an explicit stack with one frame
+  per included member instead of recursing.  A frame keeps its node's layer
+  caps, `blocked`, `avail` and the count of counted free sets outside
+  `blocked`, so unwinding restores them and the bound reads that count.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -60,6 +62,7 @@ from __future__ import annotations
 import json
 import re
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import combinations
@@ -316,7 +319,10 @@ def _check_params(obj: Objective, params: dict) -> None:
 
 def _instance(obj: Objective, params: dict) -> _Instance:
     _check_params(obj, params)
-    n, *rest = (int(params[p]) for p in obj.params)
+    for p in obj.params:
+        if type(params[p]) is not int:     # not even a bool
+            raise ValueError(f"parameter {p} must be an integer, got {params[p]!r}")
+    n, *rest = (params[p] for p in obj.params)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > obj.max_n:
@@ -536,17 +542,22 @@ class _LayeredDFS:
     counts down `missing` for the candidates in `deps[i]` (built on i's
     first inclusion) and ORs in those that become ready.
 
-    A node at pos branches on the first ready, unblocked candidate j >= pos:
-    include j, then exclude it; either way the child starts at j + 1.  The
-    special (gap/skip) candidates in [pos, j), nearest first, and an
-    excluded special j lower their layer caps, with a prune check after
-    each.  The bound b(pos) = |alive| + sum over levels of min(cap, counts +
-    candidates left from pos) never rises as pos grows or a cap falls, so
-    when prune(j) cuts the include child, b(j + 1) <= b(j) cuts the exclude
-    child too.  The stack has one frame per included j: (j, the caps at j's
-    node, the candidates j made ready, `blocked` before j).  An exclude
-    child shares its parent's frame; unwinding pops a frame, resets the
-    caps from it, undoes j and tries j's exclude child.
+    A node at pos branches on the first candidate j >= pos in `avail`, the
+    ready candidates outside `blocked`: include j, then exclude it; either
+    way the child starts at j + 1.  The special (gap/skip) candidates in
+    [pos, j), nearest first (found by bisecting their sorted indices), and
+    an excluded special j lower their layer caps, with a prune check after
+    each.  The bound b(pos) = alive_n + sum over levels of min(cap, counts +
+    candidates left from pos), where alive_n counts the counted free sets
+    outside `blocked`, never rises as pos grows or a cap falls, so when
+    prune(j) cuts the include child, b(j + 1) <= b(j) cuts the exclude child
+    too.  Including j ORs its incompatibility bitset into `blocked`, adds
+    the candidates it made ready to `avail` and recounts alive_n, once per
+    include; `prune` reads the count.  The stack has one frame per included
+    j: (j, the caps at j's node, and `blocked`, `avail` and alive_n before
+    j).  An exclude child shares its parent's frame; unwinding pops a frame,
+    restores the caps and the three values from it, gives back j's
+    `missing` counts and tries j's exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -591,7 +602,6 @@ class _LayeredDFS:
         for k in inst.levels:
             for m, c in _walk_caps(n, k).items():
                 self.special_cap[self.index[m]] = c
-        self.specials = sum(1 << i for i in self.special_cap)
         self.ready0 = sum(1 << i for i, c in enumerate(self.missing0) if not c)
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
@@ -655,11 +665,12 @@ class _LayeredDFS:
         return inc
 
     def _leaf(self, incumbent: _Incumbent, included: list[int], blocked: int,
-              alive: int) -> None:
+              alive_n: int) -> None:
         """Offer the included members plus every compatible free set.  The
-        value never exceeds the counted members, included plus `alive`, and
-        the incumbent ignores lower values, so such a leaf returns at once."""
-        if len(included) + alive.bit_count() < incumbent.value:
+        value never exceeds the counted members, included plus the `alive_n`
+        counted free sets still compatible, and the incumbent ignores lower
+        values, so such a leaf returns at once."""
+        if len(included) + alive_n < incumbent.value:
             return
         masks = self.masks
         out = included + [masks[b] for b in _bits(self.free & ~blocked)]
@@ -677,18 +688,21 @@ class _LayeredDFS:
         return False
 
     def _search(self, incumbent: _Incumbent, deadline: float | None) -> None:
-        N, masks, level_of, spans = self.N, self.masks, self.level_of, self.spans
-        deps, incompat = self.deps, self.incompat
-        specials, special_cap = self.specials, self.special_cap
+        N, masks, level_of = self.N, self.masks, self.level_of
+        deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
         counted, use_pruning = self.counted, self.use_pruning
+        special_at = tuple(sorted(special_cap))   # the gap/skip indices, ascending
+        special_lc = tuple((level_of[p], special_cap[p]) for p in special_at)
+        levels = tuple((li, start, end, end - start)
+                       for li, (start, end) in enumerate(self.spans))
         caps = list(self.caps0)
         counts = [0] * len(caps)           # included members per level
         missing = list(self.missing0)
-        ready = self.ready0
         blocked = 0                        # sets incompatible with an included member
-        alive = counted                    # counted free sets still compatible
+        avail = self.ready0                # ready candidates outside `blocked`
+        alive_n = counted.bit_count()      # counted free sets outside `blocked`
         included: list[int] = []
-        stack = []                         # (j, caps at j's node, newly ready, blocked)
+        stack = []              # (j, caps at j's node, blocked, avail, alive_n)
 
         def prune(pos: int) -> bool:
             """Every objective's value is at most its counted members: the
@@ -696,73 +710,79 @@ class _LayeredDFS:
             the layer can still reach from pos on."""
             if not use_pruning:
                 return False
-            b = alive.bit_count()
-            for li, (start, end) in enumerate(spans):
+            b = alive_n
+            for li, start, end, size in levels:
                 reach = counts[li]
-                if pos < end:
-                    reach += end - (start if pos < start else pos)
+                if pos <= start:
+                    reach += size
+                elif pos < end:
+                    reach += end - pos
                 cap = caps[li]
                 b += cap if cap < reach else reach
             return b < incumbent.value
 
-        pos = 0
-        while True:
-            # enter the node at pos
-            self.nodes += 1
-            if deadline is not None:
-                _check_deadline(deadline)
-            open_ = (ready & ~blocked) >> pos
-            j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-            for p in _bits(specials & ((1 << j) - (1 << pos))):
-                li = level_of[p]
-                if special_cap[p] < caps[li]:
-                    caps[li] = special_cap[p]
-                    if prune(p + 1):
-                        break
-            else:
-                if j == N:
-                    self._leaf(incumbent, included, blocked, alive)
-                elif not prune(j):
-                    # include j; if prune(j) cuts it, b(j + 1) <= b(j) cuts the exclude
-                    newly = 0
-                    dj = deps[j]
-                    if dj is None:
-                        dj = self._deps(j)
-                    for t in dj:
-                        missing[t] -= 1
-                        if not missing[t]:
-                            newly |= 1 << t
-                    stack.append((j, tuple(caps), newly, blocked))
-                    ready |= newly
-                    inc = incompat[j]
-                    if inc is None:
-                        inc = self._incompat(j)
-                    blocked |= inc
-                    alive = counted & ~blocked
-                    included.append(masks[j])
-                    counts[level_of[j]] += 1
+        nodes = pos = 0
+        try:
+            while True:
+                # enter the node at pos
+                nodes += 1
+                if deadline is not None:
+                    _check_deadline(deadline)
+                open_ = avail >> pos
+                j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
+                first = bisect_left(special_at, pos)
+                for i in range(first, bisect_left(special_at, j, first)):
+                    li, cap = special_lc[i]
+                    if cap < caps[li]:
+                        caps[li] = cap
+                        if prune(special_at[i] + 1):
+                            break
+                else:
+                    if j == N:
+                        self._leaf(incumbent, included, blocked, alive_n)
+                    elif not prune(j):
+                        # include j; when prune(j) cuts it, b(j + 1) <= b(j)
+                        # cuts the exclude child too
+                        newly = 0
+                        dj = deps[j]
+                        if dj is None:
+                            dj = self._deps(j)
+                        for t in dj:
+                            missing[t] -= 1
+                            if not missing[t]:
+                                newly |= 1 << t
+                        stack.append((j, tuple(caps), blocked, avail, alive_n))
+                        inc = incompat[j]
+                        if inc is None:
+                            inc = self._incompat(j)
+                        blocked |= inc
+                        unblocked = ~blocked
+                        avail = (avail | newly) & unblocked
+                        alive_n = (counted & unblocked).bit_count()
+                        included.append(masks[j])
+                        counts[level_of[j]] += 1
+                        if not prune(j + 1):
+                            pos = j + 1
+                            continue
+                # unwind to the first included j whose exclude child is open
+                while stack:
+                    j, saved, blocked, avail, alive_n = stack.pop()
+                    caps[:] = saved
+                    for t in deps[j]:
+                        missing[t] += 1
+                    included.pop()
+                    li = level_of[j]
+                    counts[li] -= 1
+                    cap = special_cap.get(j)
+                    if cap is not None and cap < caps[li]:
+                        caps[li] = cap
                     if not prune(j + 1):
-                        pos = j + 1
-                        continue
-            # unwind to the first included j whose exclude child is open
-            while stack:
-                j, saved, newly, blocked = stack.pop()
-                caps[:] = saved
-                alive = counted & ~blocked
-                ready ^= newly
-                for t in deps[j]:
-                    missing[t] += 1
-                included.pop()
-                li = level_of[j]
-                counts[li] -= 1
-                cap = special_cap.get(j)
-                if cap is not None and cap < caps[li]:
-                    caps[li] = cap
-                if not prune(j + 1):
-                    break
-            else:
-                return
-            pos = j + 1
+                        break
+                else:
+                    return
+                pos = j + 1
+        finally:
+            self.nodes = nodes
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +951,7 @@ def maximize(objective: str, params: dict,
             options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
-        objective=objective, params={k: int(v) for k, v in params.items()},
+        objective=objective, params=dict(params),
         optimum=incumbent.value,
         witness=SetFamily.from_masks(inst.n, incumbent.masks),
         proven_optimal=proven, reduction_used=reduction,

@@ -403,6 +403,26 @@ def test_layered_results_pinned(objective, params, optimum, maximizers, witness,
     assert recheck(cert)
 
 
+# unpruned layered runs: `prune` never cuts, so every node of the kernel's
+# include/exclude walk is entered; optimum, maximizers, witness and nodes
+UNPRUNED_PINS = [
+    ("max_union_size", {"n": 8, "u": 5}, 58, 1, katona(8, 5), 523),
+    ("upper_layers", {"n": 8, "u": 5}, 21, 2, katona(8, 5), 523),
+]
+
+
+@pytest.mark.parametrize("objective,params,optimum,maximizers,witness,nodes",
+                         UNPRUNED_PINS)
+def test_unpruned_results_pinned(objective, params, optimum, maximizers, witness,
+                                 nodes):
+    cert = maximize(objective, params, SearchOptions(use_pruning=False))
+    assert cert.optimum == optimum and cert.maximizers == maximizers
+    assert cert.witness == witness
+    assert cert.nodes_explored == nodes
+    assert cert.proven_optimal and not cert.timed_out
+    assert recheck(cert)
+
+
 # unrestricted (Bron-Kerbosch) runs: optimum, witness (hex masks) and the
 # number of maximal families the unpruned engine offers
 EXHAUSTIVE_PINS = [
@@ -523,6 +543,16 @@ def test_zero_time_limit_stops_after_setup():
     assert recheck(SearchCertificate.from_json_dict(cert.to_json_dict()))
 
 
+def test_deadline_stops_the_search_mid_tree():
+    # (12, 4) is unproven in seconds, so a 0.3 s limit stops the DFS after
+    # many nodes; the call still returns promptly with a rechecked seed bound
+    cert = maximize("overflow_even", {"n": 12, "d": 4}, SearchOptions(time_limit=0.3))
+    assert cert.timed_out and not cert.proven_optimal
+    assert cert.maximizers is None and cert.nodes_explored > 0
+    assert cert.elapsed_ms < 2000
+    assert recheck(cert)
+
+
 def test_search_validation():
     with pytest.raises(CapExceeded):
         maximize("max_union_size", {"n": 30, "u": 4})
@@ -622,6 +652,17 @@ def test_params_must_match_the_objective():
     del data["params"]["d"]
     with pytest.raises(ValueError, match="need the parameters n, d"):
         SearchCertificate.from_json_dict(data)
+
+
+def test_params_must_be_integers():
+    # no value is converted: a float, a string or a bool is refused by name,
+    # so nothing is certified under a truncated parameter
+    for params, name in (({"n": 8.9, "d": "2"}, "n"), ({"n": True, "d": 2}, "n"),
+                         ({"n": 8, "d": 2.0}, "d")):
+        with pytest.raises(ValueError, match=f"parameter {name} must be an integer"):
+            maximize("overflow_even", params)
+    cert = maximize("overflow_even", {"n": 8, "d": 2})
+    assert not recheck(dataclasses.replace(cert, params={"n": 8.9, "d": "2"}))
 
 
 # -- compression verification ------------------------------------------------------------
