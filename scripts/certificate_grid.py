@@ -18,6 +18,15 @@ change that may move only node counts: it lists every record whose
 certificate differs in a field other than `nodes`, or that only one file
 holds, and exits 1 if there is any.  Records timed out in either file are
 skipped and counted.
+
+`--oracle FILE` checks one such file against its own unpruned runs: each
+`restricted` or `unrestricted` record must equal its `*_unpruned` twin (same
+objective and parameters) in every field but `nodes`.  Records timed out or
+capped on either side are skipped and counted; it exits 1 on any difference.
+
+    PYTHONPATH=src python3 scripts/certificate_grid.py --unrestricted \
+        --time-limit 5 --out ugrid.json
+    PYTHONPATH=src python3 scripts/certificate_grid.py --oracle ugrid.json
 """
 
 import argparse
@@ -95,12 +104,39 @@ def diff(old_path, new_path) -> int:
     return 1 if differ else 0
 
 
+def oracle(path) -> int:
+    """Print the pruned records that differ from their unpruned twins other
+    than in `nodes`; 1 if any do."""
+    records = _keyed(path)
+    compared = differ = skipped = 0
+    for (engine, *rest), pruned in sorted(records.items()):
+        twin = records.get((engine + "_unpruned", *rest))
+        if twin is None:
+            continue                    # an unpruned record, or n beyond the twins'
+        if "certificate" not in pruned or "certificate" not in twin:
+            skipped += 1
+            continue
+        compared += 1
+        a = _without_nodes(pruned)["certificate"]
+        b = _without_nodes(twin)["certificate"]
+        if a != b:
+            differ += 1
+            print(f"{engine} {' '.join(rest)}: {a} != unpruned {b}")
+    print(f"{differ} of {compared} pruned records differ from their unpruned "
+          f"twins other than in nodes ({skipped} skipped as timed out or capped)",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", help="JSON file to write")
     mode.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                       help="compare two grid files, ignoring nodes")
+    mode.add_argument("--oracle", metavar="FILE",
+                      help="compare each pruned record of a grid file with its "
+                           "unpruned twin, ignoring nodes")
     ap.add_argument("--unrestricted", action="store_true",
                     help="add the exhaustive engine for n <= 7")
     ap.add_argument("--time-limit", type=float, default=120.0,
@@ -108,6 +144,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.diff:
         sys.exit(diff(*args.diff))
+    if args.oracle:
+        sys.exit(oracle(args.oracle))
     engines = ENGINES + (UNRESTRICTED if args.unrestricted else ())
     t0 = time.process_time()
     records = list(grid(engines, args.time_limit))

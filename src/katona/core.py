@@ -41,6 +41,8 @@ def mask_key(mask: int) -> tuple[int, int]:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """Sorted 1-based elements of a mask."""
+    if mask < 0:                        # -1 >> 1 == -1: the loop would not end
+        raise ValueError(f"a mask is nonnegative, got {mask}")
     out = []
     e = 1
     while mask:
@@ -68,7 +70,7 @@ def _check_ground(n: int) -> None:
         raise CapExceeded(f"ground set size {n} exceeds the cap of {ALGEBRAIC_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetFamily:
     """Canonical family of subsets of [n].
 

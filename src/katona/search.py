@@ -50,7 +50,14 @@ Two engines back `maximize`:
   ties remain) and the lowest pool index where R | P and the witness W
   differ lies in W, every maximal family below has a larger key than W.
   Only ties with smaller keys are valued, so `nodes` falls toward 1 when
-  the seed is already optimal.
+  the seed is already optimal.  The pruned search also starts only at the
+  roots of the objective's `roots` field: the set [s] of each pool size
+  when the relation and the value are invariant under permutations of [n],
+  the empty set when they are invariant under translations M -> M ^ T.  By
+  the root lemma in `_exhaustive`, the witness, the optimal maximal family
+  with the smallest key, starts at a root, so only families whose smallest
+  member is a root are enumerated; pruned `nodes` can differ from a full
+  enumeration's, the optimum and witness cannot.
 
 Certificates carry one witness (smallest canonical encoding among the
 maximizers found), the exact optimum, and enough metadata to be re-checked
@@ -243,6 +250,9 @@ class Objective:
     outside: Callable[[_Instance, int, int], bool]   # instance, anchor, member
     anchors: Callable[[_Instance], Iterable[int]] = lambda i: (0,)   # one by default
     max_n: int = SEARCH_CAP
+    # the pool masks the pruned exhaustive engine starts at (the root lemma
+    # in `_exhaustive`); None enumerates every maximal family
+    roots: Callable[[Sequence[int]], Iterable[int]] | None = None
 
 
 def _katona_seeds(i: _Instance) -> list[SetFamily]:
@@ -259,41 +269,55 @@ def _points(i: _Instance) -> list[int]:
     return [1 << x for x in range(i.n)] or [0]
 
 
+def _size_roots(pool: Sequence[int]) -> list[int]:
+    """The colex-first set [s] = (1 << s) - 1 of each pool size s, the roots
+    of the objectives invariant under permutations of [n]: a permutation
+    takes a family's smallest member, an s-set, to [s], and its other
+    members, of size at least s, after it."""
+    return [m for m in pool if not m & (m + 1)]
+
+
 OBJECTIVES: dict[str, Objective] = {
     "max_union_size": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         counted_from=lambda i: 0, sizes=lambda i: range(i.u + 1),
-        seeds=_katona_seeds, outside=lambda i, a, m: True),
+        seeds=_katona_seeds, outside=lambda i, a, m: True, roots=_size_roots),
+    # translating every member by T, M -> M ^ T, keeps |A ^ B|, so the empty
+    # set, the smallest one, roots the diameter objectives
     "max_diameter_size": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=True,
         counted_from=lambda i: 0, sizes=lambda i: range(i.n + 1),
-        seeds=_katona_seeds, outside=lambda i, a, m: True),
+        seeds=_katona_seeds, outside=lambda i, a, m: True, roots=lambda pool: (0,)),
     "overflow_even": Objective(
         ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
         counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=lambda i: [cons.b_family(i.n, i.d)]
         + ([cons.d_even(i.n, i.d)] if i.d >= 2 else []),
-        outside=lambda i, a, m: m.bit_count() > i.d),
+        outside=lambda i, a, m: m.bit_count() > i.d, roots=_size_roots),
     # |M \ {x}| > d: members above size d + 1 count for every x
     "overflow_odd": Objective(
         ("n", "d"), _overflow_instance(1), _UNION, shift_invariant=False,
         counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=lambda i: [cons.g_family(i.n, i.d)],
-        anchors=_points, outside=lambda i, a, m: (m & ~a).bit_count() > i.d),
+        anchors=_points, outside=lambda i, a, m: (m & ~a).bit_count() > i.d,
+        roots=_size_roots),
     "upper_layers": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         counted_from=_upper_from, sizes=lambda i: range(_upper_from(i), i.u + 1),
         # size >= r, where u = 2r or 2r - 1: that is 2 size >= u
-        seeds=_katona_seeds, outside=lambda i, a, m: 2 * m.bit_count() >= i.u),
+        seeds=_katona_seeds, outside=lambda i, a, m: 2 * m.bit_count() >= i.u,
+        roots=_size_roots),
     # min-anchor avoidance: the members avoiding x
     "diversity": Objective(
         ("n", "k"), _intersecting_instance, _INTERSECT, shift_invariant=False,
         counted_from=lambda i: i.levels[0], sizes=lambda i: i.levels,
         seeds=lambda i: [cons.triangle(i.n, i.levels[0])],
-        anchors=_points, outside=lambda i, a, m: not m & a),
+        anchors=_points, outside=lambda i, a, m: not m & a, roots=_size_roots),
     # members outside the ball (even u) or double ball (odd u) of radius d
     # around A.  The double ball ignores element 1, so A and A ^ {1} count
-    # alike and only even centers are tried, the colex-smallest first.
+    # alike and only even centers are tried, the colex-smallest first.  A
+    # translation by T moves center A to A ^ T or its even twin, so the
+    # empty set roots this objective too.
     "diametral_overflow": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=False,
         counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.n + 1),
@@ -301,7 +325,7 @@ OBJECTIVES: dict[str, Objective] = {
                          [cons.g_family(i.n, i.d)] if i.d >= 1 else []),
         anchors=lambda i: range(0, 1 << i.n, 1 + i.u % 2),
         outside=lambda i, a, m: ((m ^ a) & ~(i.u % 2)).bit_count() > i.d,
-        max_n=DIAMETRAL_CENTER_CAP),
+        max_n=DIAMETRAL_CENTER_CAP, roots=lambda pool: (0,)),
 }
 
 
@@ -358,7 +382,7 @@ class SearchOptions:
                 f"the search runs in one process: need workers = 1, got {self.workers}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchCertificate:
     objective: str
     params: dict
@@ -819,8 +843,8 @@ def _keys_not_below(a: int, w: int) -> bool:
 
 
 def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
-                incumbent: _Incumbent, deadline: float | None,
-                use_pruning: bool) -> tuple[int, bool]:
+                roots: Iterable[int] | None, incumbent: _Incumbent,
+                deadline: float | None, use_pruning: bool) -> tuple[int, bool]:
     """Value each maximal feasible family R (a pool bitset) that the bounds
     leave open as min_a |R & out[a]| and offer it to the incumbent; return
     how many were valued and whether the deadline stopped the enumeration.
@@ -842,6 +866,18 @@ def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
     Only ties with smaller keys are offered, so the optimum and witness do
     not depend on pruning, and the count of valued families falls toward 1
     when the seed is already optimal.
+
+    With pruning and `roots` (masks of the pool), the search starts once per
+    root r at index i, in pool order, at the node ({r}, the compatible
+    pool sets after r, those before r), which holds exactly the maximal
+    families whose smallest member is r.  The root lemma: suppose every
+    family F has a symmetry g of the relation and the value whose image
+    g(F) has a root r as its smallest member, with r <= min F in key order.
+    Let W be the optimal maximal family with the smallest key.  Then g(W)
+    is also optimal and maximal, so key(g(W)) >= key(W), and their first
+    entries give r >= min W >= r.  So W starts at a root, and the optimum
+    and the witness cannot change.  Without pruning or roots every maximal
+    family is enumerated, so the unpruned engine stays the oracle.
     """
     nv = len(pool)
     adj = [0] * nv
@@ -904,9 +940,18 @@ def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
 
     try:
         _check_deadline(deadline)
-        # the root needs no test: the incumbent is a seed then, without a
-        # key, and the pool holds every member that counts for it
-        expand(0, start, 0)
+        if roots is None or not use_pruning:
+            # the root needs no test: the incumbent is a seed then, without
+            # a key, and the pool holds every member that counts for it
+            expand(0, start, 0)
+        else:
+            for i in sorted(bisect_left(pool, mask_key(m), key=mask_key) for m in roots):
+                vb = 1 << i
+                if start & vb:
+                    av = start & adj[i]
+                    p, x = av & ~(vb - 1), av & (vb - 1)
+                    if p or not x:      # else {r} extends only into X: not maximal
+                        expand(vb, p, x)
     except _TimeUp:
         return cliques, True
     return cliques, False
@@ -947,7 +992,8 @@ def maximize(objective: str, params: dict,
         pool, out = _pool(obj, inst)
         incumbent = _Incumbent(obj, inst)
         nodes, timed_out = _exhaustive(
-            pool, obj.relation.compatible, inst.u, out, incumbent, deadline,
+            pool, obj.relation.compatible, inst.u, out,
+            None if obj.roots is None else obj.roots(pool), incumbent, deadline,
             options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(

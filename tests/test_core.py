@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from katona import (
     CapExceeded, SetFamily, at_least, avoid, b_family, complement_family,
-    diameter, down_closure, family_from_json, family_from_sets,
+    diameter, down_closure, elements_of, family_from_json, family_from_sets,
     family_to_json, full_star, is_complex, is_cross_t_intersecting,
     is_t_intersecting, is_u_union, katona, layer, shadow, trace,
 )
@@ -40,6 +40,13 @@ def test_element_out_of_range():
         family_from_sets(3, [[4]])
     with pytest.raises(ValueError):
         family_from_sets(3, [[0]])
+
+
+def test_elements_of_refuses_a_negative_mask():
+    assert elements_of(0b1011) == (1, 2, 4) and elements_of(0) == ()
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(ValueError):
+            elements_of(mask)
 
 
 def test_ground_set_cap():

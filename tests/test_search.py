@@ -488,14 +488,16 @@ UNPRUNED_TOO_SLOW = {(name, 6, u) for name in ("max_diameter_size", "diametral_o
 
 
 def test_exhaustive_pruning_does_not_change_results():
-    # both exhaustive bounds, on every objective and valid pair with n <= 6
-    # that the unpruned engine finishes in about a second, and two at n = 7
+    # both exhaustive bounds and the roots, on every objective and valid pair
+    # with n <= 6 that the unpruned engine finishes in about a second, and
+    # four at n = 7 or 8
     on = SearchOptions(restrict_to_initial_complexes=False)
     off = SearchOptions(restrict_to_initial_complexes=False, use_pruning=False)
     cases = [(name, (n, v)) for name in search.OBJECTIVES
              for n in range(1, 7) for v in range(1, n + 1)
              if (name, n, v) not in UNPRUNED_TOO_SLOW]
-    cases += [("overflow_odd", (7, 2)), ("diversity", (7, 3))]
+    cases += [("overflow_odd", (7, 2)), ("diversity", (7, 3)), ("diversity", (8, 3)),
+              ("diametral_overflow", (7, 3))]
     runs = fewer = 0
     for objective, pair in cases:
         params = dict(zip(search.OBJECTIVES[objective].params, pair))
@@ -523,6 +525,48 @@ def test_witness_bound_lemma(a, w):
         for f in range(256):
             if f & ~a == 0 and not (f & ~w == 0 and f != w):
                 assert key(f) >= key(w), (a, w, f)
+
+
+def _rooted_instances():
+    """Every objective with roots on the valid pairs among (6, 2) and (7, 3)."""
+    for obj in search.OBJECTIVES.values():
+        if obj.roots is None:
+            continue
+        for pair in ((6, 2), (7, 3)):
+            try:
+                yield obj, search._instance(obj, dict(zip(obj.params, pair)))
+            except ValueError:
+                pass
+
+
+@given(st.sampled_from(list(_rooted_instances())), st.data())
+def test_roots_rest_on_a_symmetry(case, data):
+    # the pruned exhaustive engine starts only at the roots, which is exact
+    # when a symmetry keeps the relation and the value: a permutation of [n]
+    # for the size roots, a translation M -> M ^ T for the empty-set root
+    obj, inst = case
+    n, u, compatible = inst.n, inst.u, obj.relation.compatible
+    pool, _ = search._pool(obj, inst)
+    if obj.roots is search._size_roots:
+        perm = data.draw(st.permutations(range(n)))
+        def g(m):
+            return sum(1 << perm[x] for x in range(n) if m >> x & 1)
+    else:
+        assert list(obj.roots(pool)) == [0]
+        t = data.draw(st.integers(0, (1 << n) - 1))
+        def g(m):
+            return m ^ t
+    sample = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    assert {g(m) for m in pool} == set(pool)
+    family = []
+    for a in sample:
+        for b in sample:
+            assert compatible(g(a), g(b), u) == compatible(a, b, u)
+        if all(compatible(a, b, u) for b in family + [a]):
+            family.append(a)
+    image = sorted(map(g, family), key=search.mask_key)
+    assert (search._min_outside(obj, inst, image)[0]
+            == search._min_outside(obj, inst, family)[0])
 
 
 def test_time_limit_yields_honest_lower_bound():
