@@ -9,7 +9,8 @@ builds of the search agree exactly when their output files are
 byte-identical (`cmp a.json b.json`), `nodes` included.  A run stopped by
 `--time-limit` is recorded only as timed out, because how far it got
 depends on the machine; a run refused by a resource cap is recorded with
-the cap's message.
+the cap's message.  Every certificate is rechecked with `search.recheck`;
+the file is written either way, and the script exits 1 if one fails.
 
     PYTHONPATH=src python3 scripts/certificate_grid.py --out grid.json
 
@@ -21,7 +22,12 @@ skipped and counted.
 
 `--oracle FILE` checks one such file against its own unpruned runs: each
 `restricted` or `unrestricted` record must equal its `*_unpruned` twin (same
-objective and parameters) in every field but `nodes`.  Records timed out or
+objective and parameters) in every field but `nodes`.  A pruned run and its
+unpruned twin share one compatibility graph, so that check cannot catch a
+wrong graph; the engines are also checked against each other: a proven
+`unrestricted` optimum must equal the `restricted` one for a shift-invariant
+objective, whose restricted optimum is proven too, and be at least it for
+the others, whose restricted optimum is a lower bound.  Records timed out or
 capped on either side are skipped and counted; it exits 1 on any difference.
 
     PYTHONPATH=src python3 scripts/certificate_grid.py --unrestricted \
@@ -42,8 +48,10 @@ UNRESTRICTED = (("unrestricted", False, True, 7),
                 ("unrestricted_unpruned", False, False, 7))
 
 
-def grid(engines, time_limit):
-    """Yield one record per valid (objective, parameters, engine)."""
+def grid(engines, time_limit, failed):
+    """Yield one record per valid (objective, parameters, engine); append
+    the record of each certificate that `search.recheck` refuses to
+    `failed`."""
     for label, restrict, pruning, max_n in engines:
         options = SearchOptions(time_limit=time_limit, use_pruning=pruning,
                                 restrict_to_initial_complexes=restrict)
@@ -59,6 +67,8 @@ def grid(engines, time_limit):
                     except ValueError:
                         continue            # not a valid parameter pair
                     else:
+                        if not search.recheck(cert):
+                            failed.append(record)
                         if cert.timed_out:
                             record["timed_out"] = True
                         else:
@@ -106,7 +116,8 @@ def diff(old_path, new_path) -> int:
 
 def oracle(path) -> int:
     """Print the pruned records that differ from their unpruned twins other
-    than in `nodes`; 1 if any do."""
+    than in `nodes`, and the proven `unrestricted` optima that disagree with
+    the `restricted` ones; 1 if any do."""
     records = _keyed(path)
     compared = differ = skipped = 0
     for (engine, *rest), pruned in sorted(records.items()):
@@ -125,7 +136,20 @@ def oracle(path) -> int:
     print(f"{differ} of {compared} pruned records differ from their unpruned "
           f"twins other than in nodes ({skipped} skipped as timed out or capped)",
           file=sys.stderr)
-    return 1 if differ else 0
+    crossed = wrong = 0
+    for (engine, name, params), record in sorted(records.items()):
+        restricted = records.get(("restricted", name, params))
+        if (engine != "unrestricted" or restricted is None
+                or "certificate" not in record or "certificate" not in restricted):
+            continue
+        crossed += 1
+        a, b = (int(r["certificate"]["optimum"]) for r in (record, restricted))
+        if a < b or a != b and search.OBJECTIVES[name].shift_invariant:
+            wrong += 1
+            print(f"unrestricted {name} {params}: optimum {a}, restricted {b}")
+    print(f"{wrong} of {crossed} proven unrestricted optima disagree with the "
+          f"restricted engine", file=sys.stderr)
+    return 1 if differ or wrong else 0
 
 
 def main() -> None:
@@ -148,7 +172,8 @@ def main() -> None:
         sys.exit(oracle(args.oracle))
     engines = ENGINES + (UNRESTRICTED if args.unrestricted else ())
     t0 = time.process_time()
-    records = list(grid(engines, args.time_limit))
+    failed = []
+    records = list(grid(engines, args.time_limit, failed))
     with open(args.out, "w") as fh:
         json.dump(records, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -156,6 +181,11 @@ def main() -> None:
     capped = sum("capped" in r for r in records)
     print(f"{len(records)} runs ({timed_out} timed out, {capped} capped) in "
           f"{time.process_time() - t0:.1f} s CPU -> {args.out}", file=sys.stderr)
+    for record in failed:
+        print(f"recheck failed: {record['engine']} {record['objective']} "
+              f"{record['params']}", file=sys.stderr)
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -100,14 +100,10 @@ class SetFamily:
         return iter(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        return mask in self.members
 
     def member_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(m) for m in self.members)
-
-    def canonical_key(self) -> tuple[tuple[int, int], ...]:
-        """Total order key on families: lexicographic over (size, mask) pairs."""
-        return tuple(map(mask_key, self.members))
 
 
 def family_from_sets(n: int, sets: Iterable[Iterable[int]]) -> SetFamily:

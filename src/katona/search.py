@@ -2,10 +2,10 @@
 
 Each objective is defined in one place: its `Objective` record in
 `OBJECTIVES`.  The record names the parameters (which the CLI turns into
-required flags), the pairwise relation its families satisfy, whether it is
-shift-invariant, the member sizes it counts, its seed constructions and its
-value.  `maximize`, `recheck`, both engines and the CLI read the records and
-nothing else.  Every value is a minimum over anchors a of the members
+required flags), the pairwise relation its families satisfy (one threshold
+`meet` on |A & B|), whether it is shift-invariant, the member sizes it
+counts, its seed constructions and its value.  `maximize`, `recheck`, both
+engines and the CLI read the records and nothing else.  Every value is a minimum over anchors a of the members
 outside a's extremal family (one anchor for the counting objectives, an
 element x for odd overflow and diversity, a ball center for diametral
 overflow).  One evaluator, `_min_outside`, computes it on mask lists for
@@ -23,40 +23,40 @@ Two engines back `maximize`:
   closed-form layer caps and the gap/skip walk bounds, so disabling
   pruning never changes the optimum.
 
-  The kernel, `_LayeredDFS`, numbers the candidate sets by level and then
-  in `combinations` order, with the free sets after them, and works on int
+  The kernel, `_LayeredDFS`, numbers the candidate sets by level and then in
+  `combinations` order, with the free sets after them, and works on int
   bitsets over that index space: `ready` holds the candidates whose needed
   sets are all included, `has[x]` the sets containing element x, and
   `blocked` the sets incompatible with an included member, the OR of
-  per-candidate incompatibility bitsets counted from `has` by a
-  bit-sliced adder on first use.  It branches on the lowest index of
-  `avail = ready & ~blocked`, and runs on an explicit stack with one frame
-  per included member instead of recursing.  A frame keeps its node's layer
-  caps, `blocked`, `avail` and the count of counted free sets outside
+  per-candidate incompatibility rows that `_incompat_rows`, a bit-sliced
+  counter, builds from `has` on first use.  It branches on the lowest index
+  of `avail = ready & ~blocked`, and runs on an explicit stack with one
+  frame per included member instead of recursing.  A frame keeps its node's
+  layer caps, `blocked`, `avail` and the count of counted free sets outside
   `blocked`, so unwinding restores them and the bound reads that count.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
-  graph).  Every value, a minimum of member counts, is monotone under
-  adding members, so the maximum over maximal families is the global
-  maximum.  This is the independent oracle for the restricted engine and
-  the only proven route for objectives not known to be shift-invariant.
-  With one pool bitset `out[a]` per anchor, a family R has the value
-  min_a |R & out[a]|.  It is a branch and bound with two bounds on a node
-  (R, P, X), tested before the node is entered.  The anchor bound: by
-  monotonicity, no family below can reach the incumbent when
-  min_a |(R | P) & out[a]| is below it.  The witness bound: the pool is in
-  canonical key order, so when that minimum equals the incumbent (only
+  graph, whose rows the same counter builds).  Every value, a minimum of
+  member counts, is monotone under adding members, so the maximum over
+  maximal families is the global maximum.  This is the independent oracle
+  for the restricted engine and the only proven route for objectives not
+  known to be shift-invariant.  With one pool bitset `out[a]` per anchor, a
+  family R has the value min_a |R & out[a]|.  It is a branch and bound with
+  two bounds on a node (R, P, X), tested before the node is entered.  The
+  anchor bound: by monotonicity, no family below can reach the incumbent
+  when min_a |(R | P) & out[a]| is below it.  The witness bound: the pool is
+  in canonical key order, so when that minimum equals the incumbent (only
   ties remain) and the lowest pool index where R | P and the witness W
   differ lies in W, every maximal family below has a larger key than W.
-  Only ties with smaller keys are valued, so `nodes` falls toward 1 when
-  the seed is already optimal.  The pruned search also starts only at the
-  roots of the objective's `roots` field: the set [s] of each pool size
-  when the relation and the value are invariant under permutations of [n],
-  the empty set when they are invariant under translations M -> M ^ T.  By
-  the root lemma in `_exhaustive`, the witness, the optimal maximal family
-  with the smallest key, starts at a root, so only families whose smallest
-  member is a root are enumerated; pruned `nodes` can differ from a full
+  Only ties with smaller keys are valued, so `nodes` falls toward 1 when the
+  seed is already optimal.  The pruned search also starts only at the roots
+  of the objective's `roots` field: the set [s] of each pool size when the
+  relation and the value are invariant under permutations of [n], the empty
+  set when they are invariant under translations M -> M ^ T.  By the root
+  lemma in `_exhaustive`, the witness, the optimal maximal family with the
+  smallest key, starts at a root, so only families whose smallest member is
+  a root are enumerated; pruned `nodes` can differ from a full
   enumeration's, the optimum and witness cannot.
 
 Certificates carry one witness (smallest canonical encoding among the
@@ -203,23 +203,29 @@ def _intersecting_instance(n: int, k: int) -> _Instance:
 
 @dataclass(frozen=True)
 class _Relation:
-    """What every pair of members of a feasible family satisfies."""
+    """What every pair of members of a feasible family satisfies, as one
+    threshold: sets of sizes k and s are compatible exactly when they share
+    at least meet(u, k, s) elements.  `_incompat_rows` builds both engines'
+    incompatibility bitsets from it."""
 
-    compatible: Callable[[int, int, int | None], bool]   # masks a, b and u
-    holds: Callable[[_Instance, SetFamily], bool]        # via core, for recheck
+    meet: Callable[[int | None, int, int], int]      # u, k and s
+    holds: Callable[[_Instance, SetFamily], bool]    # via core, for recheck
     reduction: str                     # the families the layered engine covers
+    reduction_meet: Callable | None = None   # its rule there, if not `meet`
 
 
+# |A | B| = k + s - |A & B| <= u
 _UNION = _Relation(
-    lambda a, b, u: (a | b).bit_count() <= u,
+    lambda u, k, s: k + s - u,
     lambda i, fam: is_u_union(fam, i.u), "initial_complex")
-# a complex has diameter <= u exactly when it is u-union, so the layered
-# engine searches down-shift complexes with the union test
+# |A ^ B| = k + s - 2 |A & B| <= u.  A complex has diameter <= u exactly
+# when it is u-union, so the layered engine searches down-shift complexes
+# with the union rule.
 _DIAMETER = _Relation(
-    lambda a, b, u: (a ^ b).bit_count() <= u,
-    lambda i, fam: diameter(fam) <= i.u, "downshift_complex")
+    lambda u, k, s: -((u - k - s) // 2),
+    lambda i, fam: diameter(fam) <= i.u, "downshift_complex", _UNION.meet)
 _INTERSECT = _Relation(
-    lambda a, b, u: a & b != 0,
+    lambda u, k, s: 1,
     lambda i, fam: (all(m.bit_count() == i.levels[0] for m in fam.members)
                     and (not fam.members or is_t_intersecting(fam, 1))),
     "initial_complex")
@@ -237,7 +243,7 @@ class Objective:
     `counted_from` (with equality for the one-anchor objectives); the
     layered engine bounds with that count.  `sizes` are the member sizes the
     exhaustive engine enumerates: members of other sizes are infeasible or
-    cannot raise the value.
+    cannot raise the value, and every set of these sizes is self-compatible.
     """
 
     params: tuple[str, ...]            # in the order `instance` takes them
@@ -547,6 +553,43 @@ def _level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(map(sum, combinations([1 << x for x in range(n)], k))), has(0, k)
 
 
+def _incompat_rows(meet: Callable[[int | None, int, int], int], u: int | None,
+                   has: Sequence[int], spans: dict[int, int]) -> Callable[[int], int]:
+    """The incompatibility row of a set m over an index space, the sets c
+    with |c & m| below meet(u, |c|, |m|), given the bitsets has[x] of the
+    sets holding element x and spans[k] of the k-sets.  Adding has[x] over
+    the x in m into bit planes (a bit-sliced counter) gives |c & m| for
+    every c at once; the thresholds are worked out once per pair of sizes."""
+    bars = {s: [(t, span) for k, span in spans.items() if (t := meet(u, k, s)) > 0]
+            for s in spans}
+
+    def row(m: int) -> int:
+        planes: list[int] = []         # planes[i]: bit i of the count
+        for x in _bits(m):
+            carry = has[x]
+            for i, p in enumerate(planes):
+                planes[i] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+            if carry:
+                planes.append(carry)
+        inc = 0
+        for t, span in bars[m.bit_count()]:
+            # compare the count with t from the top bit down: `eq` holds
+            # the sets whose count agrees with t on the bits so far
+            eq = span
+            for i in reversed(range(max(len(planes), t.bit_length()))):
+                p = planes[i] if i < len(planes) else 0
+                if t >> i & 1:
+                    inc |= eq & ~p
+                    eq &= p
+                else:
+                    eq &= ~p
+        return inc
+    return row
+
+
 class _LayeredDFS:
     """The layered branch-and-bound, on int bitsets over one index space.
 
@@ -555,10 +598,11 @@ class _LayeredDFS:
     free sets (the levels below, completed greedily at a leaf) take the
     indices from N on, ascending by size, and `counted` marks those of size
     at least `counted_from`.  `has[x]` is the bitset of the sets that
-    contain element x, and `_incompat(j)` the sets incompatible with
-    candidate j, built from `has` on j's first inclusion and cached.
-    `blocked` is the OR of `_incompat` over the included members, so a set
-    is compatible with all of them exactly when its bit is clear.
+    contain element x, and `incompat[j]` the sets incompatible with
+    candidate j, counted by `_incompat_rows` under the relation's rule for
+    the reduction on j's first inclusion.  `blocked` is the OR of
+    `incompat` over the included members, so a set is compatible with all
+    of them exactly when its bit is clear.
 
     A candidate needs its immediate predecessors and, above the lowest
     level, its shadow; every need has a smaller index.  `ready` is the
@@ -569,19 +613,22 @@ class _LayeredDFS:
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
     way the child starts at j + 1.  The special (gap/skip) candidates in
-    [pos, j), nearest first (found by bisecting their sorted indices), and
-    an excluded special j lower their layer caps, with a prune check after
-    each.  The bound b(pos) = alive_n + sum over levels of min(cap, counts +
-    candidates left from pos), where alive_n counts the counted free sets
-    outside `blocked`, never rises as pos grows or a cap falls, so when
-    prune(j) cuts the include child, b(j + 1) <= b(j) cuts the exclude child
-    too.  Including j ORs its incompatibility bitset into `blocked`, adds
-    the candidates it made ready to `avail` and recounts alive_n, once per
-    include; `prune` reads the count.  The stack has one frame per included
-    j: (j, the caps at j's node, and `blocked`, `avail` and alive_n before
-    j).  An exclude child shares its parent's frame; unwinding pops a frame,
-    restores the caps and the three values from it, gives back j's
-    `missing` counts and tries j's exclude child.
+    [pos, j), found by bisecting their sorted indices, and an excluded
+    special j lower their layer caps.  The bound b(pos) = alive_n + sum
+    over levels of min(cap, counts + candidates left from pos), where
+    alive_n counts the counted free sets outside `blocked`, never rises as
+    pos grows or a cap falls.  So one prune(j) after all those caps fall
+    cuts whatever a check at s + 1 after each special s < j would, as
+    b(j) <= b(s + 1); at a leaf (j = N) every level's count is within its
+    cap, so b(N) is the leaf's own check, the included members plus
+    alive_n.  When prune(j) cuts the include child, b(j + 1) <= b(j) cuts
+    the exclude child too.  Including j ORs its incompatibility bitset into
+    `blocked`, adds the candidates it made ready to `avail` and recounts
+    alive_n, once per include; `prune` reads the count.  The stack has one
+    frame per included j: (j, the caps at j's node, and `blocked`, `avail`
+    and alive_n before j).  An exclude child shares its parent's frame;
+    unwinding pops a frame, restores the caps and the three values from
+    it, gives back j's `missing` counts and tries j's exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -601,21 +648,25 @@ class _LayeredDFS:
         self.special_cap: dict[int, int] = {}    # index -> gap/skip cap
         self.has = [0] * n
         self.counted = 0
-        self.level_bits: list[tuple[int, int]] = []   # (size, the level's bitset)
+        level_bits: dict[int, int] = {}    # size -> the level's bitset
+        rel = obj.relation
+        meet = rel.reduction_meet or rel.meet
         low = obj.counted_from(inst)
         for li, k in enumerate(inst.levels + inst.free_levels):
             start = len(self.masks)
             level, has = _level(n, k)
             self.masks += level
             span = ((1 << len(level)) - 1) << start
-            self.level_bits.append((k, span))
+            level_bits[k] = span
             for x, h in enumerate(has):
                 self.has[x] |= h << start
             if li >= len(inst.levels):     # a free level
                 if k >= low:
                     self.counted |= span
                 continue
-            self.caps0.append(min(comb(n, k), comb(n, k - self._meet(k, k))))
+            # layer k is meet(u, k, k)-intersecting: (2(k - d) - h) for
+            # u = 2d + h, 1 for intersecting families
+            self.caps0.append(min(comb(n, k), comb(n, k - meet(inst.u, k, k))))
             # the immediate predecessors, plus the shadow above the lowest level
             extra = k if li else 0
             self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + extra
@@ -630,13 +681,7 @@ class _LayeredDFS:
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
-
-    def _meet(self, k: int, size: int) -> int:
-        """The least |c & m| for a k-set c compatible with a member m of this
-        size: 1 for intersecting families, k + size - u for u-union ones, so
-        layer k >= d + 1 is (2(k - d) - h)-intersecting for u = 2d + h."""
-        u = self.inst.u
-        return 1 if u is None else k + size - u
+        self.incompat_row = _incompat_rows(meet, inst.u, self.has, level_bits)
 
     def _deps(self, j: int) -> list[int]:
         """Build deps[j], the candidates that need candidate j: its immediate
@@ -650,43 +695,6 @@ class _LayeredDFS:
             out += [index[m | 1 << x] for x in _bits(full & ~m)]
         self.deps[j] = out
         return out
-
-    def _incompat(self, j: int) -> int:
-        """Build incompat[j], the sets of the index space incompatible with
-        candidate j.
-
-        Adding has[x] over the x in j into bit planes (a bit-sliced counter)
-        gives |c & j| for every set c at once.  A k-set c is incompatible
-        when that count is below t = `_meet(k, |j|)`.
-        """
-        m = self.masks[j]
-        planes: list[int] = []             # planes[i]: bit i of the count
-        for x in _bits(m):
-            carry = self.has[x]
-            for i, p in enumerate(planes):
-                planes[i] = p ^ carry
-                carry &= p
-                if not carry:
-                    break
-            if carry:
-                planes.append(carry)
-        inc, size = 0, m.bit_count()
-        for k, span in self.level_bits:
-            t = self._meet(k, size)
-            if t <= 0:
-                continue
-            # compare the count with t from the top bit down: `eq` holds the
-            # sets whose count agrees with t on the bits so far
-            eq = span
-            for i in reversed(range(max(len(planes), t.bit_length()))):
-                p = planes[i] if i < len(planes) else 0
-                if t >> i & 1:
-                    inc |= eq & ~p
-                    eq &= p
-                else:
-                    eq &= ~p
-        self.incompat[j] = inc
-        return inc
 
     def _leaf(self, incumbent: _Incumbent, included: list[int], blocked: int,
               alive_n: int) -> None:
@@ -759,35 +767,32 @@ class _LayeredDFS:
                     li, cap = special_lc[i]
                     if cap < caps[li]:
                         caps[li] = cap
-                        if prune(special_at[i] + 1):
-                            break
-                else:
-                    if j == N:
-                        self._leaf(incumbent, included, blocked, alive_n)
-                    elif not prune(j):
-                        # include j; when prune(j) cuts it, b(j + 1) <= b(j)
-                        # cuts the exclude child too
-                        newly = 0
-                        dj = deps[j]
-                        if dj is None:
-                            dj = self._deps(j)
-                        for t in dj:
-                            missing[t] -= 1
-                            if not missing[t]:
-                                newly |= 1 << t
-                        stack.append((j, tuple(caps), blocked, avail, alive_n))
-                        inc = incompat[j]
-                        if inc is None:
-                            inc = self._incompat(j)
-                        blocked |= inc
-                        unblocked = ~blocked
-                        avail = (avail | newly) & unblocked
-                        alive_n = (counted & unblocked).bit_count()
-                        included.append(masks[j])
-                        counts[level_of[j]] += 1
-                        if not prune(j + 1):
-                            pos = j + 1
-                            continue
+                if j == N:
+                    self._leaf(incumbent, included, blocked, alive_n)
+                elif not prune(j):
+                    # include j; when prune(j) cuts it, b(j + 1) <= b(j)
+                    # cuts the exclude child too
+                    newly = 0
+                    dj = deps[j]
+                    if dj is None:
+                        dj = self._deps(j)
+                    for t in dj:
+                        missing[t] -= 1
+                        if not missing[t]:
+                            newly |= 1 << t
+                    stack.append((j, tuple(caps), blocked, avail, alive_n))
+                    inc = incompat[j]
+                    if inc is None:
+                        inc = incompat[j] = self.incompat_row(masks[j])
+                    blocked |= inc
+                    unblocked = ~blocked
+                    avail = (avail | newly) & unblocked
+                    alive_n = (counted & unblocked).bit_count()
+                    included.append(masks[j])
+                    counts[level_of[j]] += 1
+                    if not prune(j + 1):
+                        pos = j + 1
+                        continue
                 # unwind to the first included j whose exclude child is open
                 while stack:
                     j, saved, blocked, avail, alive_n = stack.pop()
@@ -812,20 +817,30 @@ class _LayeredDFS:
 # ---------------------------------------------------------------------------
 # unrestricted exhaustive engine (maximal feasible families)
 
-def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int]]:
+def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int], list[int]]:
     """The exhaustive engine's candidate masks in canonical key order (size,
-    then mask), and for each anchor a the bitset of the candidates outside
-    a's extremal family."""
-    sizes = obj.sizes(inst)
-    size = sum(comb(inst.n, k) for k in sizes)
+    then mask), for each anchor a the bitset of the candidates outside a's
+    extremal family, and each candidate's adjacency row: the other
+    candidates outside its `_incompat_rows` row (it is self-compatible)."""
+    sizes, n = obj.sizes(inst), inst.n
+    size = sum(comb(n, k) for k in sizes)
     if size > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
             f"exhaustive pool of {size} candidates exceeds "
             f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
-    pool = sorted((m for k in sizes for m in _level(inst.n, k)[0]), key=mask_key)
+    pool = sorted((m for k in sizes for m in _level(n, k)[0]), key=mask_key)
     out = [sum(1 << i for i, m in enumerate(pool) if obj.outside(inst, a, m))
            for a in obj.anchors(inst)]
-    return pool, out
+    has, spans = [0] * n, {}
+    for i, m in enumerate(pool):
+        b, k = 1 << i, m.bit_count()
+        spans[k] = spans.get(k, 0) | b
+        for x in _bits(m):
+            has[x] |= b
+    row = _incompat_rows(obj.relation.meet, inst.u, has, spans)
+    full = (1 << size) - 1
+    adj = [(full & ~row(m)) ^ 1 << i for i, m in enumerate(pool)]
+    return pool, out, adj
 
 
 def _keys_not_below(a: int, w: int) -> bool:
@@ -842,7 +857,7 @@ def _keys_not_below(a: int, w: int) -> bool:
     return not d or d & -d & w != 0
 
 
-def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
+def _exhaustive(pool: list[int], adj: list[int], out: list[int],
                 roots: Iterable[int] | None, incumbent: _Incumbent,
                 deadline: float | None, use_pruning: bool) -> tuple[int, bool]:
     """Value each maximal feasible family R (a pool bitset) that the bounds
@@ -879,16 +894,6 @@ def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
     and the witness cannot change.  Without pruning or roots every maximal
     family is enumerated, so the unpruned engine stays the oracle.
     """
-    nv = len(pool)
-    adj = [0] * nv
-    start = 0
-    for i, a in enumerate(pool):
-        if compatible(a, a, u):
-            start |= 1 << i
-        for j in range(i + 1, nv):
-            if compatible(a, pool[j], u):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
     cliques = calls = 0
     wb = 0                              # the searched witness's pool bitset
     bounded = out if use_pruning else ()    # without pruning no bound cuts
@@ -943,15 +948,13 @@ def _exhaustive(pool: list[int], compatible, u: int | None, out: list[int],
         if roots is None or not use_pruning:
             # the root needs no test: the incumbent is a seed then, without
             # a key, and the pool holds every member that counts for it
-            expand(0, start, 0)
+            expand(0, (1 << len(pool)) - 1, 0)
         else:
             for i in sorted(bisect_left(pool, mask_key(m), key=mask_key) for m in roots):
-                vb = 1 << i
-                if start & vb:
-                    av = start & adj[i]
-                    p, x = av & ~(vb - 1), av & (vb - 1)
-                    if p or not x:      # else {r} extends only into X: not maximal
-                        expand(vb, p, x)
+                vb, av = 1 << i, adj[i]
+                p, x = av & ~(vb - 1), av & (vb - 1)
+                if p or not x:          # else {r} extends only into X: not maximal
+                    expand(vb, p, x)
     except _TimeUp:
         return cliques, True
     return cliques, False
@@ -989,12 +992,11 @@ def maximize(objective: str, params: dict,
         proven = obj.shift_invariant and not timed_out
         reduction = obj.relation.reduction
     else:
-        pool, out = _pool(obj, inst)
+        pool, out, adj = _pool(obj, inst)
         incumbent = _Incumbent(obj, inst)
         nodes, timed_out = _exhaustive(
-            pool, obj.relation.compatible, inst.u, out,
-            None if obj.roots is None else obj.roots(pool), incumbent, deadline,
-            options.use_pruning)
+            pool, adj, out, None if obj.roots is None else obj.roots(pool),
+            incumbent, deadline, options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
         objective=objective, params=dict(params),

@@ -33,6 +33,7 @@ def test_empty_family():
 def test_canonical_order():
     fam = family_from_sets(5, [[1], [2], [1, 2]])
     assert fam.member_sets() == ((1,), (2,), (1, 2))
+    assert 0b11 in fam and 0b100 not in fam
 
 
 def test_element_out_of_range():

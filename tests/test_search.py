@@ -117,6 +117,19 @@ def test_evaluators_match_their_definitions():
             assert search._min_outside(diversity, inst, fam.members) == (value, 1 << i)
 
 
+def _compatible(obj, u, a, b):
+    """The objective's relation on masks a and b, from its `meet` threshold."""
+    return (a & b).bit_count() >= obj.relation.meet(u, a.bit_count(), b.bit_count())
+
+
+# the pairwise definitions of the three relations, on masks a, b and u
+PAIRWISE = {
+    search._UNION: lambda a, b, u: (a | b).bit_count() <= u,
+    search._DIAMETER: lambda a, b, u: (a ^ b).bit_count() <= u,
+    search._INTERSECT: lambda a, b, u: a & b != 0,
+}
+
+
 def test_exhaustive_bitset_value_matches_mask_list_value():
     # the exhaustive engine values a family R, a bitset over its pool, as
     # min over anchors a of |R & out[a]|
@@ -128,13 +141,12 @@ def test_exhaustive_bitset_value_matches_mask_list_value():
                     inst = search._instance(obj, dict(zip(obj.params, (n, v))))
                 except ValueError:
                     continue
-                pool, out = search._pool(obj, inst)
-                compatible = obj.relation.compatible
+                pool, out, _ = search._pool(obj, inst)
                 for _ in range(4):
                     r, masks = 0, []
                     for i in rng.sample(range(len(pool)), len(pool) // 2):
                         m = pool[i]
-                        if all(compatible(m, o, inst.u) for o in masks + [m]):
+                        if all(_compatible(obj, inst.u, m, o) for o in masks + [m]):
                             r |= 1 << i
                             masks.append(m)
                     assert (min((r & o).bit_count() for o in out)
@@ -144,15 +156,28 @@ def test_exhaustive_bitset_value_matches_mask_list_value():
 def test_layered_bitsets_match_their_definitions():
     # the layered engine's index space holds the candidates by level, then
     # the free sets by size, each level in `combinations` order; `has[x]`
-    # marks the sets containing x and `_incompat(j)` the sets that break the
-    # pairwise relation with candidate j (union <= u, or intersecting)
+    # marks the sets containing x and `incompat_row` the sets that break the
+    # pairwise relation with a candidate (union <= u, or intersecting).  The
+    # exhaustive pool's adjacency rows, from the same counter, hold the other
+    # candidates compatible under the objective's own relation, and every
+    # size of the pool is self-compatible.
     for obj in search.OBJECTIVES.values():
+        pairwise = PAIRWISE[obj.relation]
         for n in range(1, 9):
             for v in range(n + 1):
                 try:
                     inst = search._instance(obj, dict(zip(obj.params, (n, v))))
                 except ValueError:
                     continue
+                u = inst.u
+                for s in obj.sizes(inst):
+                    assert pairwise((1 << s) - 1, (1 << s) - 1, u), (obj, n, v, s)
+                if n <= 7:
+                    pool, _, adj = search._pool(obj, inst)
+                    for i, a in enumerate(pool):
+                        assert adj[i] == sum(
+                            1 << j for j, b in enumerate(pool)
+                            if j != i and pairwise(a, b, u)), (obj, n, v, i)
                 dfs = search._LayeredDFS(obj, inst, True)
                 masks = dfs.masks
                 assert masks == [sum(1 << (e - 1) for e in c)
@@ -161,10 +186,9 @@ def test_layered_bitsets_match_their_definitions():
                 for x in range(n):
                     assert dfs.has[x] == sum(
                         1 << i for i, m in enumerate(masks) if m >> x & 1)
-                u = inst.u
                 for j in range(dfs.N):
                     a = masks[j]
-                    assert dfs._incompat(j) == sum(
+                    assert dfs.incompat_row(a) == sum(
                         1 << i for i, b in enumerate(masks)
                         if ((a | b).bit_count() > u if u is not None
                             else not a & b)), (obj, n, v, j)
@@ -545,8 +569,8 @@ def test_roots_rest_on_a_symmetry(case, data):
     # when a symmetry keeps the relation and the value: a permutation of [n]
     # for the size roots, a translation M -> M ^ T for the empty-set root
     obj, inst = case
-    n, u, compatible = inst.n, inst.u, obj.relation.compatible
-    pool, _ = search._pool(obj, inst)
+    n, u = inst.n, inst.u
+    pool, _, _ = search._pool(obj, inst)
     if obj.roots is search._size_roots:
         perm = data.draw(st.permutations(range(n)))
         def g(m):
@@ -561,8 +585,8 @@ def test_roots_rest_on_a_symmetry(case, data):
     family = []
     for a in sample:
         for b in sample:
-            assert compatible(g(a), g(b), u) == compatible(a, b, u)
-        if all(compatible(a, b, u) for b in family + [a]):
+            assert _compatible(obj, u, g(a), g(b)) == _compatible(obj, u, a, b)
+        if all(_compatible(obj, u, a, b) for b in family + [a]):
             family.append(a)
     image = sorted(map(g, family), key=search.mask_key)
     assert (search._min_outside(obj, inst, image)[0]
