@@ -41,10 +41,10 @@ def _near_base(n: int, base: tuple[int, ...], c: int) -> SetFamily:
     rest = n - len(base)
     _capped(n, lambda: sum(comb(rest, j) for j in range(min(c, rest) + 1)) << len(base))
     subs = tuple(subsets_of(mask_of(base)))
-    outside = [e for e in range(1, n + 1) if e not in base]
+    bits = [1 << (e - 1) for e in range(1, n + 1) if e not in base]  # distinct: sum = OR
     return SetFamily.from_masks(n, [
         sub | m for size in range(min(c, rest) + 1)
-        for m in map(mask_of, combinations(outside, size)) for sub in subs])
+        for m in map(sum, combinations(bits, size)) for sub in subs])
 
 
 def _near_katona(n: int, u: int, s: int, name: str = "d") -> SetFamily:

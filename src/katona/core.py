@@ -7,14 +7,22 @@ and in JSON; bit positions are the only 0-based thing here.
 A SetFamily is an immutable, deduplicated, canonically ordered tuple of
 masks.  Two families over the same ground set are equal iff their encodings
 are identical, which makes families usable as dict keys and makes all
-outputs byte-stable.
+outputs byte-stable.  Canonicalising runs no Python code per member:
+`from_masks` deduplicates with `dict.fromkeys`, range-checks with one `min`
+and one `max`, and orders by `mask_key` with two stable C sorts, by value
+and then by size.  `family_from_sets` range-checks all elements with one
+`min` and one `max`, and the JSON reader checks types with
+`set(map(type, ...))`.  Each looks for the first bad item only on failure,
+so the error names the one an item-by-item check would.
+`elements_of` decodes a mask a byte at a time from a constant table.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator
 
 ALGEBRAIC_CAP = 63  # single machine word for masks
@@ -39,18 +47,23 @@ def mask_key(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
+# _BYTE_ELEMENTS[b]: the sorted 1-based elements of the byte value b
+_BYTE_ELEMENTS = tuple(tuple(e + 1 for e in range(8) if b >> e & 1) for b in range(256))
+# _BIT[e]: the mask of the 1-based element e (_BIT[0] is never read)
+_BIT = tuple(1 << e >> 1 for e in range(ALGEBRAIC_CAP + 1))
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
-    """Sorted 1-based elements of a mask."""
-    if mask < 0:                        # -1 >> 1 == -1: the loop would not end
+    """Sorted 1-based elements of a mask, decoded a byte at a time."""
+    if mask < 0:                        # -1 >> 8 == -1: the loop would not end
         raise ValueError(f"a mask is nonnegative, got {mask}")
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    out = _BYTE_ELEMENTS[mask & 255]
+    base = 0
+    while mask := mask >> 8:
+        base += 8
+        if mask & 255:
+            out += tuple([base + e for e in _BYTE_ELEMENTS[mask & 255]])
+    return out
 
 
 def subsets_of(mask: int) -> Iterator[int]:
@@ -84,14 +97,11 @@ class SetFamily:
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
         _check_ground(n)
-        full = (1 << n) - 1
-        seen = set()
-        for m in masks:
-            if m < 0 or m & ~full:
-                raise ValueError(f"mask {m:#x} has elements outside [1, {n}]")
-            seen.add(m)
-        ordered = tuple(sorted(seen, key=mask_key))
-        return cls(n, ordered)
+        seen = dict.fromkeys(masks)     # keeps input order for the message
+        if seen and (min(seen) < 0 or max(seen) >> n):
+            bad = next(m for m in seen if m < 0 or m >> n)
+            raise ValueError(f"mask {bad:#x} has elements outside [1, {n}]")
+        return cls(n, tuple(sorted(sorted(seen), key=int.bit_count)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -103,19 +113,23 @@ class SetFamily:
         return mask in self.members
 
     def member_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(m) for m in self.members)
+        return tuple(map(elements_of, self.members))
 
 
 def family_from_sets(n: int, sets: Iterable[Iterable[int]]) -> SetFamily:
     """Build a canonical family from element lists; duplicates collapse."""
     _check_ground(n)
+    sets = list(map(tuple, sets))
+    elements = list(chain.from_iterable(sets))
+    if elements and (min(elements) < 1 or max(elements) > n):
+        bad = next(e for e in elements if not 1 <= e <= n)
+        raise ValueError(f"element {bad} outside ground set [1, {n}]")
     masks = []
     for s in sets:
-        s = tuple(s)
+        m = 0
         for e in s:
-            if not 1 <= e <= n:
-                raise ValueError(f"element {e} outside ground set [1, {n}]")
-        masks.append(mask_of(s))
+            m |= _BIT[e]
+        masks.append(m)
     return SetFamily.from_masks(n, masks)
 
 
@@ -280,11 +294,15 @@ def trace(fam: SetFamily, p_set: Iterable[int], q_set: Iterable[int]) -> SetFami
 # JSON round trip
 #
 # Canonical form: {"n": int, "sets": [[1-based sorted ints], ...]}.
-# Compact alternate accepted on input: {"n": int, "hex": ["1f", ...]}.
+# Compact alternate accepted on input: {"n": int, "hex": ["1f", ...]}, each
+# string plain hex digits (no "0x", sign, "_" or spaces).
+
+_HEX = re.compile(r"[0-9a-fA-F]+")
+
 
 def family_to_json_dict(fam: SetFamily, form: str = "sets") -> dict:
     if form == "sets":
-        return {"n": fam.n, "sets": [list(elements_of(m)) for m in fam.members]}
+        return {"n": fam.n, "sets": list(map(list, map(elements_of, fam.members)))}
     if form == "hex":
         return {"n": fam.n, "hex": [format(m, "x") for m in fam.members]}
     raise ValueError(f"unknown family JSON form {form!r}")
@@ -292,7 +310,7 @@ def family_to_json_dict(fam: SetFamily, form: str = "sets") -> dict:
 
 def _list_of(value, kind: type) -> bool:
     """A JSON list whose items are all exactly of type kind (bool is not int)."""
-    return type(value) is list and all(type(v) is kind for v in value)
+    return type(value) is list and set(map(type, value)) <= {kind}
 
 
 def family_from_json_dict(obj: dict) -> SetFamily:
@@ -303,13 +321,17 @@ def family_from_json_dict(obj: dict) -> SetFamily:
         raise ValueError(f"'n' must be an integer, got {n!r}")
     if "sets" in obj:
         sets = obj["sets"]
-        if not (_list_of(sets, list) and all(_list_of(s, int) for s in sets)):
+        if not (_list_of(sets, list) and _list_of(list(chain.from_iterable(sets)), int)):
             raise ValueError("'sets' must be a list of lists of integers")
         return family_from_sets(n, sets)
     if "hex" in obj:
-        if not _list_of(obj["hex"], str):
+        hexes = obj["hex"]
+        if not _list_of(hexes, str):
             raise ValueError("'hex' must be a list of strings")
-        return SetFamily.from_masks(n, (int(h, 16) for h in obj["hex"]))
+        if not all(map(_HEX.fullmatch, hexes)):
+            bad = next(h for h in hexes if not _HEX.fullmatch(h))
+            raise ValueError(f"'hex' entry {bad!r} is not a string of hex digits")
+        return SetFamily.from_masks(n, map(int, hexes, repeat(16)))
     raise ValueError("family JSON needs a 'sets' or 'hex' field")
 
 

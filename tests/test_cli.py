@@ -46,7 +46,10 @@ def test_construct_round_trip_is_byte_stable(tmp_path, capsys):
 # malformed family JSON: bad input (exit 2), never a traceback or exit 1
 BAD_FAMILIES = ({"n": 6, "sets": "abc"}, {"n": 6, "sets": [[1.5]]},
                 {"n": 6, "sets": [[None]]}, {"n": 6, "sets": [[True]]},
-                {"n": 6, "hex": [3]}, {"n": None, "sets": []})
+                {"n": 6, "hex": [3]}, {"n": None, "sets": []},
+                # int(h, 16) would read each of these as 31
+                {"n": 6, "hex": ["0x1f"]}, {"n": 6, "hex": [" 1f "]},
+                {"n": 6, "hex": ["1_f"]}, {"n": 6, "hex": ["+1f"]})
 
 
 def test_check_exit_codes(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from katona import (
     CapExceeded, SetFamily, at_least, avoid, b_family, complement_family,
     diameter, down_closure, elements_of, family_from_json, family_from_sets,
     family_to_json, full_star, is_complex, is_cross_t_intersecting,
-    is_t_intersecting, is_u_union, katona, layer, shadow, trace,
+    is_t_intersecting, is_u_union, katona, layer, mask_of, shadow, trace,
 )
+from katona.core import mask_key
 from helpers import random_family, random_u_union_family
 
 
@@ -48,6 +50,41 @@ def test_elements_of_refuses_a_negative_mask():
     for mask in (-1, -2, -(1 << 70)):
         with pytest.raises(ValueError):
             elements_of(mask)
+
+
+def _bit_elements(mask):
+    """The definition: e is an element iff bit e - 1 of the mask is set."""
+    return tuple(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
+
+
+@given(st.one_of(st.just(0), st.integers(0, (1 << 63) - 1), st.integers(0, 1 << 200)))
+def test_elements_of_matches_the_bit_definition(mask):
+    assert elements_of(mask) == _bit_elements(mask)
+    assert mask_of(elements_of(mask)) == mask
+
+
+@given(st.data())
+def test_from_masks_is_the_mask_key_sort_of_the_distinct_masks(data):
+    n = data.draw(st.integers(0, 63))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    masks += masks[::2]                 # duplicates in any input order
+    fam = SetFamily.from_masks(n, masks)
+    assert fam.members == tuple(sorted(set(masks), key=mask_key))
+    assert fam.member_sets() == tuple(map(_bit_elements, fam.members))
+
+
+def test_range_errors_name_the_first_bad_item_in_input_order():
+    # a min over the masks would name -0x5
+    with pytest.raises(ValueError, match=r"^mask 0x1000 has elements outside \[1, 8\]$"):
+        SetFamily.from_masks(8, [3, 1 << 12, -5])
+    with pytest.raises(ValueError, match=r"^mask -0x5 has elements outside \[1, 8\]$"):
+        SetFamily.from_masks(8, [3, -5, 1 << 12])
+    with pytest.raises(ValueError, match=r"^mask 0x100 has elements outside \[1, 8\]$"):
+        SetFamily.from_masks(8, iter([1 << 8, 1 << 9]))
+    with pytest.raises(ValueError, match=r"^element 9 outside ground set \[1, 8\]$"):
+        family_from_sets(8, [[1, 2], [3, 9], [0]])
+    with pytest.raises(ValueError, match=r"^element 0 outside ground set \[1, 8\]$"):
+        family_from_sets(8, [(e for e in (2, 0)), [9]])
 
 
 def test_ground_set_cap():
@@ -252,6 +289,25 @@ def test_json_round_trip_both_forms():
     fam = family_from_sets(6, [[1, 2], [3], [], [4, 5, 6]])
     assert family_from_json(family_to_json(fam)) == fam
     assert family_from_json(family_to_json(fam, form="hex")) == fam
+
+
+@given(families(max_n=63, max_members=30))
+def test_json_round_trips_both_forms_up_to_the_cap(fam):
+    for form in ("sets", "hex"):
+        assert family_from_json(family_to_json(fam, form=form)) == fam
+
+
+def test_json_hex_form_reads_hex_digits_of_either_case():
+    fam = family_from_json('{"n": 6, "hex": ["1F", "001f", "3", "0"]}')
+    assert fam.members == (0, 3, 31)
+
+
+@pytest.mark.parametrize("text", ["0x1f", " 1f ", "1_f", "+1f", "-1f", "", "1f\n",
+                                  "\uff11f", "\u0661"])
+def test_json_hex_form_refuses_all_but_hex_digits(text):
+    # int(text, 16) accepts a prefix, a sign, "_", spaces and non-ASCII digits
+    with pytest.raises(ValueError, match="is not a string of hex digits"):
+        family_from_json(json.dumps({"n": 6, "hex": ["3", text]}))
 
 
 def test_json_rejects_garbage():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from katona import (
     SetFamily, ShiftLog, at_least, ball, diameter, down_shift, elements_of,
     family_from_sets, is_complex, is_cross_t_intersecting, is_initial,
-    is_t_intersecting, is_u_union, katona, left_translate,
+    is_t_intersecting, is_u_union, katona, katona_x, left_translate,
     make_complex_by_downshift, make_initial, make_initial_pair, precedes,
     replay, shift_ij,
 )
@@ -142,6 +142,44 @@ def test_make_initial_pair_keeps_cross_property():
         out_a, out_b = make_initial_pair(fam_a, fam_b)
         assert is_initial(out_a) and is_initial(out_b)
         assert is_cross_t_intersecting(out_a, out_b, t)
+
+
+@pytest.mark.parametrize("x", range(1, 17))
+def test_shift_sweep_ends_once_initial(x):
+    """One shift (1, x) makes the anchored family initial; the sweep ends at
+    the i = 1 group boundary and counts the sweep that would move nothing."""
+    out, log = make_initial(katona_x(16, 7, x))
+    assert out == katona(16, 7)
+    assert (log.ops, log.passes) == (((("shift", 1, x),), 2) if x > 1 else ((), 1))
+
+
+def _plain_sweep(fams):
+    """The fixpoint by its definition, with no early exit: apply every i<-j
+    shift in lexicographic order to all families, sweep after sweep, until a
+    sweep moves nothing; log each shift that moved a member and count the
+    sweeps, the last one included."""
+    n = fams[0].n
+    ops, passes, moved = [], 0, True
+    while moved:
+        passes += 1
+        moved = False
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                shifted = [shift_ij(fam, i, j) for fam in fams]
+                if shifted != fams:
+                    ops.append(("shift", i, j))
+                    fams, moved = shifted, True
+    return fams, ShiftLog(tuple(ops), passes)
+
+
+def test_shift_sweeps_match_a_plain_sweep():
+    rng = random.Random(22)
+    for _ in range(120):
+        n = rng.randrange(1, 13)
+        fam, other = random_family(rng, n, 16), random_family(rng, n, 16)
+        (out,), log = _plain_sweep([fam])
+        assert make_initial(fam) == (out, log)
+        assert make_initial_pair(fam, other) == tuple(_plain_sweep([fam, other])[0])
 
 
 def test_precedes():
