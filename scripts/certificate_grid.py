@@ -18,7 +18,7 @@ the file is written either way, and the script exits 1 if one fails.
 change that may move only node counts: it lists every record whose
 certificate differs in a field other than `nodes`, or that only one file
 holds, and exits 1 if there is any.  Records timed out in either file are
-skipped and counted.
+skipped, and named and counted on stderr.
 
 `--oracle FILE` checks one such file against its own unpruned runs: each
 `restricted` or `unrestricted` record must equal its `*_unpruned` twin (same
@@ -28,10 +28,11 @@ wrong graph; the engines are also checked against each other: a proven
 `unrestricted` optimum must equal the `restricted` one for a shift-invariant
 objective, whose restricted optimum is proven too, and be at least it for
 the others, whose restricted optimum is a lower bound.  Records timed out or
-capped on either side are skipped and counted; it exits 1 on any difference.
+capped on either side are skipped, and named and counted on stderr; it
+exits 1 on any difference.
 
     PYTHONPATH=src python3 scripts/certificate_grid.py --unrestricted \
-        --time-limit 5 --out ugrid.json
+        --time-limit 15 --out ugrid.json
     PYTHONPATH=src python3 scripts/certificate_grid.py --oracle ugrid.json
 """
 
@@ -103,6 +104,7 @@ def diff(old_path, new_path) -> int:
         if a is not None and b is not None:
             if "timed_out" in a or "timed_out" in b:
                 skipped += 1
+                print(f"skipped as timed out: {' '.join(key)}", file=sys.stderr)
                 continue
             a, b = _without_nodes(a), _without_nodes(b)
             if a == b:
@@ -126,6 +128,8 @@ def oracle(path) -> int:
             continue                    # an unpruned record, or n beyond the twins'
         if "certificate" not in pruned or "certificate" not in twin:
             skipped += 1
+            print(f"skipped as timed out or capped: {engine} {' '.join(rest)}",
+                  file=sys.stderr)
             continue
         compared += 1
         a = _without_nodes(pruned)["certificate"]

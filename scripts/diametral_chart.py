@@ -8,16 +8,8 @@ enumerates every maximal bounded-diameter family.
 """
 
 import argparse
-from math import comb
 
-from katona import maximize, recheck
-
-
-def conjectured(n: int, u: int) -> int:
-    d = u // 2
-    if u % 2 == 0:
-        return comb(n - 2, d - 1)
-    return 2 * comb(n - 3, d - 1)
+from katona import maximize, overflow_bound, recheck
 
 
 def main() -> None:
@@ -31,10 +23,11 @@ def main() -> None:
         for u in range(2, n):
             cert = maximize("diametral_overflow", {"n": n, "u": u})
             assert cert.proven_optimal and recheck(cert)
+            ceiling = overflow_bound(n, u).value
             note = ""
-            if cert.optimum > conjectured(n, u):
+            if cert.optimum > ceiling:
                 note = "  <- above the conjectured ceiling (small-n regime)"
-            print(f"{n:>3} {u:>3} {cert.optimum:>10} {conjectured(n, u):>8} "
+            print(f"{n:>3} {u:>3} {cert.optimum:>10} {ceiling:>8} "
                   f"{len(cert.witness):>13}{note}")
 
 

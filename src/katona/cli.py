@@ -35,11 +35,11 @@ def _read_family(path: str) -> SetFamily:
 
 
 def _emit(obj: dict, args) -> None:
-    if getattr(args, "format", "json") == "table":
+    if args.format == "table":
         text = "\n".join(f"{k}: {json.dumps(v)}" for k, v in obj.items())
     else:
         text = json.dumps(obj, indent=2)
-    out = getattr(args, "output", "-") or "-"
+    out = args.output or "-"
     if out == "-":
         print(text)
     else:
@@ -509,7 +509,7 @@ def run(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

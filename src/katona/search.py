@@ -5,11 +5,12 @@ Each objective is defined in one place: its `Objective` record in
 required flags), the pairwise relation its families satisfy (one threshold
 `meet` on |A & B|), whether it is shift-invariant, the member sizes it
 counts, its seed constructions and its value.  `maximize`, `recheck`, both
-engines and the CLI read the records and nothing else.  Every value is a minimum over anchors a of the members
-outside a's extremal family (one anchor for the counting objectives, an
-element x for odd overflow and diversity, a ball center for diametral
-overflow).  One evaluator, `_min_outside`, computes it on mask lists for
-the seeds, the layered leaves, `recheck` and the public `*_of` functions.
+engines and the CLI read the records and nothing else.  Every value is a
+minimum over anchors a of the members outside a's extremal family (one
+anchor for the counting objectives, an element x for odd overflow and
+diversity, a ball center for diametral overflow).  One evaluator,
+`_min_outside`, computes it on mask lists for the seeds, the layered
+leaves, `recheck` and the public `*_of` functions.
 
 Two engines back `maximize`:
 
@@ -32,8 +33,9 @@ Two engines back `maximize`:
   counter, builds from `has` on first use.  It branches on the lowest index
   of `avail = ready & ~blocked`, and runs on an explicit stack with one
   frame per included member instead of recursing.  A frame keeps its node's
-  layer caps, `blocked`, `avail` and the count of counted free sets outside
-  `blocked`, so unwinding restores them and the bound reads that count.
+  layer caps, `blocked`, `avail` and the count of the free sets outside
+  `blocked` that the first anchor counts, so unwinding restores them and
+  the bound reads that count.  `run` returns its node count.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -50,14 +52,15 @@ Two engines back `maximize`:
   ties remain) and the lowest pool index where R | P and the witness W
   differ lies in W, every maximal family below has a larger key than W.
   Only ties with smaller keys are valued, so `nodes` falls toward 1 when the
-  seed is already optimal.  The pruned search also starts only at the roots
-  of the objective's `roots` field: the set [s] of each pool size when the
-  relation and the value are invariant under permutations of [n], the empty
-  set when they are invariant under translations M -> M ^ T.  By the root
-  lemma in `_exhaustive`, the witness, the optimal maximal family with the
-  smallest key, starts at a root, so only families whose smallest member is
-  a root are enumerated; pruned `nodes` can differ from a full
-  enumeration's, the optimum and witness cannot.
+  seed is already optimal.  The pruned search also starts only at the pool
+  indices that the objective's `roots` field yields: those of the set [s]
+  of each pool size when the relation and the value are invariant under
+  permutations of [n], that of the empty set when they are invariant under
+  translations M -> M ^ T.  By the root lemma in `_exhaustive`, the
+  witness, the optimal maximal family with the smallest key, starts at a
+  root, so only families whose smallest member is a root are enumerated;
+  pruned `nodes` can differ from a full enumeration's, the optimum and
+  witness cannot.
 
 Certificates carry one witness (smallest canonical encoding among the
 maximizers found), the exact optimum, and enough metadata to be re-checked
@@ -227,7 +230,7 @@ _DIAMETER = _Relation(
 _INTERSECT = _Relation(
     lambda u, k, s: 1,
     lambda i, fam: (all(m.bit_count() == i.levels[0] for m in fam.members)
-                    and (not fam.members or is_t_intersecting(fam, 1))),
+                    and is_t_intersecting(fam, 1)),
     "initial_complex")
 
 
@@ -238,36 +241,29 @@ class Objective:
     The value of a family is a minimum over anchors a, taken in the order
     `anchors` gives them, of its members outside a's extremal family: the
     members M with `outside(inst, a, M)`.  A minimum of member counts never
-    decreases when members are added, which both engines rely on.  The
-    value never exceeds the number of members of size at least
-    `counted_from` (with equality for the one-anchor objectives); the
-    layered engine bounds with that count.  `sizes` are the member sizes the
-    exhaustive engine enumerates: members of other sizes are infeasible or
-    cannot raise the value, and every set of these sizes is self-compatible.
+    decreases when members are added, which both engines rely on, and never
+    exceeds the count at the first anchor, which the layered engine bounds
+    with.  `sizes` are the member sizes the exhaustive engine enumerates:
+    members of other sizes are infeasible or cannot raise the value, and
+    every set of these sizes is self-compatible.  `roots` gives, ascending,
+    the pool indices the pruned exhaustive engine starts at (the root lemma
+    in `_exhaustive`).
     """
 
     params: tuple[str, ...]            # in the order `instance` takes them
     instance: Callable[[int, int], _Instance]   # validates the parameters
     relation: _Relation
     shift_invariant: bool              # initial complexes are lossless; the default
-    counted_from: Callable[[_Instance], int]
     sizes: Callable[[_Instance], range | tuple[int, ...]]
     seeds: Callable[[_Instance], list[SetFamily]]
     outside: Callable[[_Instance, int, int], bool]   # instance, anchor, member
+    roots: Callable[[Sequence[int]], Iterable[int]]  # pool -> ascending indices
     anchors: Callable[[_Instance], Iterable[int]] = lambda i: (0,)   # one by default
     max_n: int = SEARCH_CAP
-    # the pool masks the pruned exhaustive engine starts at (the root lemma
-    # in `_exhaustive`); None enumerates every maximal family
-    roots: Callable[[Sequence[int]], Iterable[int]] | None = None
 
 
 def _katona_seeds(i: _Instance) -> list[SetFamily]:
     return [cons.katona(i.n, i.u)]
-
-
-def _upper_from(i: _Instance) -> int:
-    """Upper layers start at r, where u = 2r or u = 2r - 1."""
-    return (i.u + 1) // 2
 
 
 def _points(i: _Instance) -> list[int]:
@@ -276,62 +272,66 @@ def _points(i: _Instance) -> list[int]:
 
 
 def _size_roots(pool: Sequence[int]) -> list[int]:
-    """The colex-first set [s] = (1 << s) - 1 of each pool size s, the roots
-    of the objectives invariant under permutations of [n]: a permutation
-    takes a family's smallest member, an s-set, to [s], and its other
-    members, of size at least s, after it."""
-    return [m for m in pool if not m & (m + 1)]
+    """The index of the colex-first set [s] = (1 << s) - 1 of each pool size
+    s, the roots of the objectives invariant under permutations of [n]: a
+    permutation takes a family's smallest member, an s-set, to [s], and its
+    other members, of size at least s, after it."""
+    return [i for i, m in enumerate(pool) if not m & (m + 1)]
+
+
+def _empty_root(pool: Sequence[int]) -> tuple[int]:
+    """The index of the empty set, first in a pool of every size, the root
+    of the diameter objectives: translating every member by T, M -> M ^ T,
+    keeps |A ^ B| and takes a member T to the empty set."""
+    return (0,)
 
 
 OBJECTIVES: dict[str, Objective] = {
     "max_union_size": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
-        counted_from=lambda i: 0, sizes=lambda i: range(i.u + 1),
+        sizes=lambda i: range(i.u + 1),
         seeds=_katona_seeds, outside=lambda i, a, m: True, roots=_size_roots),
-    # translating every member by T, M -> M ^ T, keeps |A ^ B|, so the empty
-    # set, the smallest one, roots the diameter objectives
     "max_diameter_size": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=True,
-        counted_from=lambda i: 0, sizes=lambda i: range(i.n + 1),
-        seeds=_katona_seeds, outside=lambda i, a, m: True, roots=lambda pool: (0,)),
+        sizes=lambda i: range(i.n + 1),
+        seeds=_katona_seeds, outside=lambda i, a, m: True, roots=_empty_root),
     "overflow_even": Objective(
         ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
-        counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
+        sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=lambda i: [cons.b_family(i.n, i.d)]
         + ([cons.d_even(i.n, i.d)] if i.d >= 2 else []),
         outside=lambda i, a, m: m.bit_count() > i.d, roots=_size_roots),
     # |M \ {x}| > d: members above size d + 1 count for every x
     "overflow_odd": Objective(
         ("n", "d"), _overflow_instance(1), _UNION, shift_invariant=False,
-        counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.d + 1, i.u + 1),
+        sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=lambda i: [cons.g_family(i.n, i.d)],
         anchors=_points, outside=lambda i, a, m: (m & ~a).bit_count() > i.d,
         roots=_size_roots),
     "upper_layers": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
-        counted_from=_upper_from, sizes=lambda i: range(_upper_from(i), i.u + 1),
         # size >= r, where u = 2r or 2r - 1: that is 2 size >= u
+        sizes=lambda i: range((i.u + 1) // 2, i.u + 1),
         seeds=_katona_seeds, outside=lambda i, a, m: 2 * m.bit_count() >= i.u,
         roots=_size_roots),
     # min-anchor avoidance: the members avoiding x
     "diversity": Objective(
         ("n", "k"), _intersecting_instance, _INTERSECT, shift_invariant=False,
-        counted_from=lambda i: i.levels[0], sizes=lambda i: i.levels,
+        sizes=lambda i: i.levels,
         seeds=lambda i: [cons.triangle(i.n, i.levels[0])],
         anchors=_points, outside=lambda i, a, m: not m & a, roots=_size_roots),
     # members outside the ball (even u) or double ball (odd u) of radius d
     # around A.  The double ball ignores element 1, so A and A ^ {1} count
     # alike and only even centers are tried, the colex-smallest first.  A
-    # translation by T moves center A to A ^ T or its even twin, so the
-    # empty set roots this objective too.
+    # translation by T moves center A to A ^ T or its even twin.
     "diametral_overflow": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=False,
-        counted_from=lambda i: i.d + 1, sizes=lambda i: range(i.n + 1),
+        sizes=lambda i: range(i.n + 1),
         seeds=lambda i: ([cons.b_family(i.n, i.d)] if i.u % 2 == 0 else
                          [cons.g_family(i.n, i.d)] if i.d >= 1 else []),
         anchors=lambda i: range(0, 1 << i.n, 1 + i.u % 2),
         outside=lambda i, a, m: ((m ^ a) & ~(i.u % 2)).bit_count() > i.d,
-        max_n=DIAMETRAL_CENTER_CAP, roots=lambda pool: (0,)),
+        max_n=DIAMETRAL_CENTER_CAP, roots=_empty_root),
 }
 
 
@@ -596,13 +596,15 @@ class _LayeredDFS:
     Candidates are the sets of the constrained levels, by level and within
     a level in `combinations` order; index i < N is one candidate.  The
     free sets (the levels below, completed greedily at a leaf) take the
-    indices from N on, ascending by size, and `counted` marks those of size
-    at least `counted_from`.  `has[x]` is the bitset of the sets that
-    contain element x, and `incompat[j]` the sets incompatible with
-    candidate j, counted by `_incompat_rows` under the relation's rule for
-    the reduction on j's first inclusion.  `blocked` is the OR of
-    `incompat` over the included members, so a set is compatible with all
-    of them exactly when its bit is clear.
+    indices from N on, ascending by size, and `counted` marks those outside
+    the extremal family of the objective's first anchor: the value, a
+    minimum over anchors, never exceeds the members counted there, and the
+    bound counts every candidate as if it were.  `has[x]` is the bitset of
+    the sets that contain element x, and `incompat[j]` the sets
+    incompatible with candidate j, counted by `_incompat_rows` under the
+    relation's rule for the reduction on j's first inclusion.  `blocked` is
+    the OR of `incompat` over the included members, so a set is compatible
+    with all of them exactly when its bit is clear.
 
     A candidate needs its immediate predecessors and, above the lowest
     level, its shadow; every need has a smaller index.  `ready` is the
@@ -626,9 +628,11 @@ class _LayeredDFS:
     `blocked`, adds the candidates it made ready to `avail` and recounts
     alive_n, once per include; `prune` reads the count.  The stack has one
     frame per included j: (j, the caps at j's node, and `blocked`, `avail`
-    and alive_n before j).  An exclude child shares its parent's frame;
-    unwinding pops a frame, restores the caps and the three values from
-    it, gives back j's `missing` counts and tries j's exclude child.
+    and alive_n before j); the frames are the only record of the path, and
+    a leaf reads its members from them.  An exclude child shares its
+    parent's frame; unwinding pops a frame, restores the caps and the three
+    values from it, gives back j's `missing` counts and tries j's exclude
+    child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -651,18 +655,17 @@ class _LayeredDFS:
         level_bits: dict[int, int] = {}    # size -> the level's bitset
         rel = obj.relation
         meet = rel.reduction_meet or rel.meet
-        low = obj.counted_from(inst)
+        outside, a0 = obj.outside, next(iter(obj.anchors(inst)))
         for li, k in enumerate(inst.levels + inst.free_levels):
             start = len(self.masks)
             level, has = _level(n, k)
             self.masks += level
-            span = ((1 << len(level)) - 1) << start
-            level_bits[k] = span
+            level_bits[k] = ((1 << len(level)) - 1) << start
             for x, h in enumerate(has):
                 self.has[x] |= h << start
             if li >= len(inst.levels):     # a free level
-                if k >= low:
-                    self.counted |= span
+                self.counted |= sum(1 << i for i, m in enumerate(level)
+                                    if outside(inst, a0, m)) << start
                 continue
             # layer k is meet(u, k, k)-intersecting: (2(k - d) - h) for
             # u = 2d + h, 1 for intersecting families
@@ -696,30 +699,22 @@ class _LayeredDFS:
         self.deps[j] = out
         return out
 
-    def _leaf(self, incumbent: _Incumbent, included: list[int], blocked: int,
+    def _leaf(self, incumbent: _Incumbent, stack: list[tuple], blocked: int,
               alive_n: int) -> None:
-        """Offer the included members plus every compatible free set.  The
-        value never exceeds the counted members, included plus the `alive_n`
-        counted free sets still compatible, and the incumbent ignores lower
-        values, so such a leaf returns at once."""
-        if len(included) + alive_n < incumbent.value:
+        """Offer the included members, one per stack frame, plus every
+        compatible free set.  The value never exceeds the counted members,
+        included plus the `alive_n` counted free sets still compatible, and
+        the incumbent ignores lower values, so such a leaf returns at once."""
+        if len(stack) + alive_n < incumbent.value:
             return
         masks = self.masks
-        out = included + [masks[b] for b in _bits(self.free & ~blocked)]
+        out = ([masks[frame[0]] for frame in stack]
+               + [masks[b] for b in _bits(self.free & ~blocked)])
         incumbent.offer(_min_outside(self.obj, self.inst, out)[0], out)
 
-    def run(self, incumbent: _Incumbent, deadline: float | None) -> bool:
-        """Offer every leaf the bounds leave open to the incumbent; True when
-        the deadline stopped the search."""
-        self.nodes = 0
-        try:
-            _check_deadline(deadline)
-            self._search(incumbent, deadline)
-        except _TimeUp:
-            return True
-        return False
-
-    def _search(self, incumbent: _Incumbent, deadline: float | None) -> None:
+    def run(self, incumbent: _Incumbent, deadline: float | None) -> tuple[int, bool]:
+        """Offer every leaf the bounds leave open to the incumbent; return
+        the nodes entered and whether the deadline stopped the search."""
         N, masks, level_of = self.N, self.masks, self.level_of
         deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
         counted, use_pruning = self.counted, self.use_pruning
@@ -733,7 +728,6 @@ class _LayeredDFS:
         blocked = 0                        # sets incompatible with an included member
         avail = self.ready0                # ready candidates outside `blocked`
         alive_n = counted.bit_count()      # counted free sets outside `blocked`
-        included: list[int] = []
         stack = []              # (j, caps at j's node, blocked, avail, alive_n)
 
         def prune(pos: int) -> bool:
@@ -756,10 +750,10 @@ class _LayeredDFS:
         nodes = pos = 0
         try:
             while True:
-                # enter the node at pos
-                nodes += 1
+                # enter the node at pos, unless the deadline has passed
                 if deadline is not None:
                     _check_deadline(deadline)
+                nodes += 1
                 open_ = avail >> pos
                 j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
                 first = bisect_left(special_at, pos)
@@ -768,7 +762,7 @@ class _LayeredDFS:
                     if cap < caps[li]:
                         caps[li] = cap
                 if j == N:
-                    self._leaf(incumbent, included, blocked, alive_n)
+                    self._leaf(incumbent, stack, blocked, alive_n)
                 elif not prune(j):
                     # include j; when prune(j) cuts it, b(j + 1) <= b(j)
                     # cuts the exclude child too
@@ -788,7 +782,6 @@ class _LayeredDFS:
                     unblocked = ~blocked
                     avail = (avail | newly) & unblocked
                     alive_n = (counted & unblocked).bit_count()
-                    included.append(masks[j])
                     counts[level_of[j]] += 1
                     if not prune(j + 1):
                         pos = j + 1
@@ -799,7 +792,6 @@ class _LayeredDFS:
                     caps[:] = saved
                     for t in deps[j]:
                         missing[t] += 1
-                    included.pop()
                     li = level_of[j]
                     counts[li] -= 1
                     cap = special_cap.get(j)
@@ -808,10 +800,10 @@ class _LayeredDFS:
                     if not prune(j + 1):
                         break
                 else:
-                    return
+                    return nodes, False
                 pos = j + 1
-        finally:
-            self.nodes = nodes
+        except _TimeUp:
+            return nodes, True
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +850,7 @@ def _keys_not_below(a: int, w: int) -> bool:
 
 
 def _exhaustive(pool: list[int], adj: list[int], out: list[int],
-                roots: Iterable[int] | None, incumbent: _Incumbent,
+                roots: Iterable[int], incumbent: _Incumbent,
                 deadline: float | None, use_pruning: bool) -> tuple[int, bool]:
     """Value each maximal feasible family R (a pool bitset) that the bounds
     leave open as min_a |R & out[a]| and offer it to the incumbent; return
@@ -882,17 +874,17 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
     not depend on pruning, and the count of valued families falls toward 1
     when the seed is already optimal.
 
-    With pruning and `roots` (masks of the pool), the search starts once per
-    root r at index i, in pool order, at the node ({r}, the compatible
-    pool sets after r, those before r), which holds exactly the maximal
-    families whose smallest member is r.  The root lemma: suppose every
-    family F has a symmetry g of the relation and the value whose image
-    g(F) has a root r as its smallest member, with r <= min F in key order.
-    Let W be the optimal maximal family with the smallest key.  Then g(W)
-    is also optimal and maximal, so key(g(W)) >= key(W), and their first
-    entries give r >= min W >= r.  So W starts at a root, and the optimum
-    and the witness cannot change.  Without pruning or roots every maximal
-    family is enumerated, so the unpruned engine stays the oracle.
+    With pruning, the search starts once per root, at each index i that
+    `roots` yields in ascending order, r = pool[i], at the node ({r}, the
+    compatible pool sets after r, those before r), which holds exactly the
+    maximal families whose smallest member is r.  The root lemma: suppose
+    every family F has a symmetry g of the relation and the value whose
+    image g(F) has a root r as its smallest member, with r <= min F in key
+    order.  Let W be the optimal maximal family with the smallest key.
+    Then g(W) is also optimal and maximal, so key(g(W)) >= key(W), and
+    their first entries give r >= min W >= r.  So W starts at a root, and
+    the optimum and the witness cannot change.  Without pruning every
+    maximal family is enumerated, so the unpruned engine stays the oracle.
     """
     cliques = calls = 0
     wb = 0                              # the searched witness's pool bitset
@@ -945,12 +937,10 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
 
     try:
         _check_deadline(deadline)
-        if roots is None or not use_pruning:
-            # the root needs no test: the incumbent is a seed then, without
-            # a key, and the pool holds every member that counts for it
+        if not use_pruning:
             expand(0, (1 << len(pool)) - 1, 0)
         else:
-            for i in sorted(bisect_left(pool, mask_key(m), key=mask_key) for m in roots):
+            for i in roots:
                 vb, av = 1 << i, adj[i]
                 p, x = av & ~(vb - 1), av & (vb - 1)
                 if p or not x:          # else {r} extends only into X: not maximal
@@ -984,8 +974,7 @@ def maximize(objective: str, params: dict,
     if restricted:
         engine = _LayeredDFS(obj, inst, options.use_pruning)
         incumbent = _Incumbent(obj, inst)
-        timed_out = engine.run(incumbent, deadline)
-        nodes = engine.nodes
+        nodes, timed_out = engine.run(incumbent, deadline)
         # no count when the search stopped early or only the seed reached
         # the optimum
         maximizers = None if timed_out else incumbent.count or None
@@ -994,9 +983,8 @@ def maximize(objective: str, params: dict,
     else:
         pool, out, adj = _pool(obj, inst)
         incumbent = _Incumbent(obj, inst)
-        nodes, timed_out = _exhaustive(
-            pool, adj, out, None if obj.roots is None else obj.roots(pool),
-            incumbent, deadline, options.use_pruning)
+        nodes, timed_out = _exhaustive(pool, adj, out, obj.roots(pool), incumbent,
+                                       deadline, options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
         objective=objective, params=dict(params),

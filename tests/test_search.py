@@ -153,15 +153,28 @@ def test_exhaustive_bitset_value_matches_mask_list_value():
                             == search._min_outside(obj, inst, sorted(masks))[0])
 
 
+# t such that the layered bound counts exactly the free sets of size >= t,
+# the members outside the first anchor's extremal family (diversity has
+# no free sets)
+COUNTED_FROM = {
+    "max_union_size": lambda i: 0, "max_diameter_size": lambda i: 0,
+    "overflow_even": lambda i: i.d + 1, "overflow_odd": lambda i: i.d + 1,
+    "diametral_overflow": lambda i: i.d + 1, "upper_layers": lambda i: (i.u + 1) // 2,
+    "diversity": lambda i: 0,
+}
+
+
 def test_layered_bitsets_match_their_definitions():
     # the layered engine's index space holds the candidates by level, then
     # the free sets by size, each level in `combinations` order; `has[x]`
     # marks the sets containing x and `incompat_row` the sets that break the
-    # pairwise relation with a candidate (union <= u, or intersecting).  The
-    # exhaustive pool's adjacency rows, from the same counter, hold the other
-    # candidates compatible under the objective's own relation, and every
-    # size of the pool is self-compatible.
-    for obj in search.OBJECTIVES.values():
+    # pairwise relation with a candidate (union <= u, or intersecting), and
+    # `counted` the free sets of size >= COUNTED_FROM.  The exhaustive
+    # pool's adjacency rows, from the same counter, hold the other
+    # candidates compatible under the objective's own relation, every size
+    # of the pool is self-compatible, and the roots are the pool indices of
+    # [s], one per pool size, or of the empty set, first in the pool.
+    for name, obj in search.OBJECTIVES.items():
         pairwise = PAIRWISE[obj.relation]
         for n in range(1, 9):
             for v in range(n + 1):
@@ -178,6 +191,13 @@ def test_layered_bitsets_match_their_definitions():
                         assert adj[i] == sum(
                             1 << j for j, b in enumerate(pool)
                             if j != i and pairwise(a, b, u)), (obj, n, v, i)
+                    roots = list(obj.roots(pool))
+                    if obj.roots is search._size_roots:
+                        assert roots == sorted(roots)
+                        assert [pool[i] for i in roots] == [
+                            (1 << s) - 1 for s in sorted({m.bit_count() for m in pool})]
+                    else:
+                        assert roots == [0] and pool[0] == 0, (obj, n, v)
                 dfs = search._LayeredDFS(obj, inst, True)
                 masks = dfs.masks
                 assert masks == [sum(1 << (e - 1) for e in c)
@@ -192,6 +212,10 @@ def test_layered_bitsets_match_their_definitions():
                         1 << i for i, b in enumerate(masks)
                         if ((a | b).bit_count() > u if u is not None
                             else not a & b)), (obj, n, v, j)
+                t = COUNTED_FROM[name](inst)
+                assert dfs.counted == sum(
+                    1 << i for i in range(dfs.N, len(masks))
+                    if masks[i].bit_count() >= t), (name, n, v)
 
 
 def test_walk_caps_example():
@@ -552,10 +576,8 @@ def test_witness_bound_lemma(a, w):
 
 
 def _rooted_instances():
-    """Every objective with roots on the valid pairs among (6, 2) and (7, 3)."""
+    """Every objective on the valid pairs among (6, 2) and (7, 3)."""
     for obj in search.OBJECTIVES.values():
-        if obj.roots is None:
-            continue
         for pair in ((6, 2), (7, 3)):
             try:
                 yield obj, search._instance(obj, dict(zip(obj.params, pair)))
