@@ -1,7 +1,9 @@
 """Command-line front end: JSON in, JSON out, exact values as decimal strings.
 
-Exit codes: 0 success / predicate holds; 1 predicate false or verification
-violated; 2 usage or validation error; 3 resource cap or time limit.
+Each subcommand's handler returns its answer, and `run` derives the exit
+code from it: 1 when a verdict in it (`holds`, `all_hit` or `recheck`) is
+false, 3 when it is a certificate that timed out, 0 otherwise.  A usage or
+validation error exits 2, and a resource cap 3.
 """
 
 from __future__ import annotations
@@ -90,11 +92,10 @@ def _flags(args, names, what: str) -> list:
     return values
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
     fn, names = constructions.CONSTRUCTIONS[args.family.replace("-", "_")]
     fam = fn(*_flags(args, names, f"family {args.family}"))
-    _emit(family_to_json_dict(fam, args.form), args)
-    return 0
+    return family_to_json_dict(fam, args.form)
 
 
 # predicate -> (function of the --input family and the flags, those flags)
@@ -107,12 +108,10 @@ _PREDICATES = {
 }
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     pred, names = _PREDICATES[args.pred]
     values = _flags(args, names, f"check {args.pred}")
-    holds = pred(_read_family(args.input), *values)
-    _emit({"pred": args.pred, "holds": holds}, args)
-    return 0 if holds else 1
+    return {"pred": args.pred, "holds": pred(_read_family(args.input), *values)}
 
 
 # transform op -> function of the --input family and --p giving the output
@@ -127,25 +126,21 @@ _TRANSFORMS = {
 }
 
 
-def _cmd_transform(args) -> int:
+def _cmd_transform(args) -> dict:
     out, log = _TRANSFORMS[args.op](_read_family(args.input), args.p)
     if args.log and log is not None:
         with open(args.log, "w") as fh:
             fh.write(log.to_json() + "\n")
-    _emit(family_to_json_dict(out, args.form), args)
-    return 0
+    return family_to_json_dict(out, args.form)
 
 
-def _cmd_overflow(args) -> int:
+def _cmd_overflow(args) -> dict:
     fam = _read_family(args.input)
     if args.parity == "even":
-        value = search.overflow_even_of(fam, args.d)
-        _emit({"parity": "even", "d": args.d, "overflow": str(value)}, args)
-    else:
-        value, best_x = search.overflow_odd_of(fam, args.d)
-        _emit({"parity": "odd", "d": args.d, "overflow": str(value),
-               "best_x": best_x}, args)
-    return 0
+        return {"parity": "even", "d": args.d,
+                "overflow": str(search.overflow_even_of(fam, args.d))}
+    value, best_x = search.overflow_odd_of(fam, args.d)
+    return {"parity": "odd", "d": args.d, "overflow": str(value), "best_x": best_x}
 
 
 # walks mode -> (function of the flags giving the output, flags in call order)
@@ -160,11 +155,9 @@ _WALKS = {
 }
 
 
-def _cmd_walks(args) -> int:
+def _cmd_walks(args) -> dict:
     fn, names = _WALKS[args.mode]
-    out = fn(*_flags(args, names, f"walks {args.mode}"))
-    _emit(out, args)
-    return 1 if out.get("all_hit") is False else 0
+    return fn(*_flags(args, names, f"walks {args.mode}"))
 
 
 # bound -> (function, flags in call order)
@@ -189,20 +182,18 @@ _BOUNDS = {
 }
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> dict:
     fn, names = _BOUNDS[args.name]
     out = fn(*_flags(args, names, f"bound {args.name}"))
     if isinstance(out, bounds.BoundReport):
-        _emit(out.to_json_dict(), args)
-        return 1 if out.holds is False else 0
+        return out.to_json_dict()
     # integer bounds are exact counts, emitted as decimal strings; the
     # quintic's value is a sign
     value = {"sign": out} if args.name == "quintic" else {"value": str(out)}
-    _emit({"name": args.name, **value}, args)
-    return 0
+    return {"name": args.name, **value}
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> dict:
     objective = args.objective.replace("-", "_")
     names = search.OBJECTIVES[objective].params
     params = dict(zip(names, _flags(args, names, f"objective {args.objective}")))
@@ -210,16 +201,12 @@ def _cmd_search(args) -> int:
     options = search.SearchOptions(
         time_limit=args.time_limit, workers=args.workers,
         restrict_to_initial_complexes=restrict)
-    cert = search.maximize(objective, params, options)
-    _emit(cert.to_json_dict(), args)
-    return 3 if cert.timed_out else 0
+    return search.maximize(objective, params, options).to_json_dict()
 
 
-def _cmd_recheck(args) -> int:
+def _cmd_recheck(args) -> dict:
     cert = search.SearchCertificate.from_json_dict(_read_json(args.input))
-    ok = search.recheck(cert)
-    _emit({"recheck": ok}, args)
-    return 0 if ok else 1
+    return {"recheck": search.recheck(cert)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +370,23 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     failures = _SUITES[args.suite]()
-    _emit({"suite": args.suite, "holds": not failures,
-           "violations": failures[:20]}, args)
-    return 0 if not failures else 1
+    return {"suite": args.suite, "holds": not failures, "violations": failures[:20]}
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _table_flags(p: argparse.ArgumentParser, param_lists, **extra) -> None:
+    """Add to `p` each flag that one of `param_lists` names, once: a text
+    flag (one that `_FLAG_READERS` reads) as a string, `--brute` as a switch
+    and any other as an int, with `extra[name]` as its further keywords."""
+    for name in dict.fromkeys(name for names in param_lists for name in names):
+        kind = ({"action": "store_true"} if name == "brute" else
+                {} if name in _FLAG_READERS else {"type": int})
+        p.add_argument(f"--{name}", **kind, **extra.get(name, {}))
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -399,67 +394,55 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of union-bounded set families.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, **kw) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kw)
+        p.set_defaults(handler=handler)
         p.add_argument("-o", "--output", default="-", help="output path or -")
         p.add_argument("--format", choices=("json", "table"), default="json")
+        return p
 
-    p = sub.add_parser("construct", help="materialize a named family")
+    p = command("construct", _cmd_construct, help="materialize a named family")
     p.add_argument("--family", required=True, choices=sorted(
         name.replace("_", "-") for name in constructions.CONSTRUCTIONS))
-    for flag in ("n", "u", "k", "t", "d", "r", "x", "m"):
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--center", default="", help="comma-separated elements (ball)")
+    _table_flags(p, (names for _, names in constructions.CONSTRUCTIONS.values()),
+                 center={"default": "", "help": "comma-separated elements (ball)"})
     p.add_argument("--form", choices=("sets", "hex"), default="sets")
-    common(p)
 
-    p = sub.add_parser("check", help="evaluate a predicate on a family file")
+    p = command("check", _cmd_check, help="evaluate a predicate on a family file")
     p.add_argument("--pred", required=True, choices=tuple(_PREDICATES))
     p.add_argument("--input", required=True)
-    p.add_argument("--input2")
-    p.add_argument("--t", type=int)
-    p.add_argument("--u", type=int)
-    common(p)
+    _table_flags(p, (names for _, names in _PREDICATES.values()))
 
-    p = sub.add_parser("transform", help="apply a compression operator")
+    p = command("transform", _cmd_transform, help="apply a compression operator")
     p.add_argument("--op", required=True, choices=tuple(_TRANSFORMS))
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=int, default=0)
     p.add_argument("--log", help="write the replayable operator log here")
     p.add_argument("--form", choices=("sets", "hex"), default="sets")
-    common(p)
 
-    p = sub.add_parser("overflow", help="overflow of a family file")
+    p = command("overflow", _cmd_overflow, help="overflow of a family file")
     p.add_argument("--parity", required=True, choices=("even", "odd"))
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--input", required=True)
-    common(p)
 
-    p = sub.add_parser("walks", help="walk counting and tracing")
+    p = command("walks", _cmd_walks, help="walk counting and tracing")
     p.add_argument("--mode", required=True, choices=tuple(_WALKS))
-    for flag in ("n", "k", "t"):
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--set", default="", help="comma-separated elements (trace)")
-    p.add_argument("--input", help="family file (verify-hits)")
-    p.add_argument("--brute", action="store_true",
-                   help="count by enumeration instead of the closed form")
-    common(p)
+    _table_flags(p, (names for _, names in _WALKS.values()),
+                 a={"default": 0}, b={"default": 0},
+                 set={"default": "", "help": "comma-separated elements (trace)"},
+                 input={"help": "family file (verify-hits)"},
+                 brute={"help": "count by enumeration instead of the closed form"})
 
-    p = sub.add_parser("bound", help="evaluate a named bound")
+    p = command("bound", _cmd_bound, help="evaluate a named bound")
     p.add_argument("--name", required=True, choices=tuple(_BOUNDS))
-    for flag in ("n", "u", "k", "t", "d", "r", "p", "a", "b", "ell"):
-        p.add_argument(f"--{flag}", type=int)
-    p.add_argument("--c", help="rational like 11/10 (quintic)")
-    p.add_argument("--input")
-    p.add_argument("--input2")
-    common(p)
+    _table_flags(p, (names for _, names in _BOUNDS.values()),
+                 c={"help": "rational like 11/10 (quintic)"})
 
-    p = sub.add_parser("search", help="run an exact maximizer, emit a certificate")
+    p = command("search", _cmd_search,
+                help="run an exact maximizer, emit a certificate")
     p.add_argument("--objective", required=True, choices=sorted(
         name.replace("_", "-") for name in search.OBJECTIVES))
-    for flag in ("n", "u", "k", "d"):
-        p.add_argument(f"--{flag}", type=int)
+    _table_flags(p, (obj.params for obj in search.OBJECTIVES.values()))
     p.add_argument("--time-limit", type=float)
     p.add_argument("--workers", type=int, default=1,
                    help="must be 1: the search runs in one process; the flag "
@@ -467,9 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial-complexes", choices=("auto", "yes", "no"),
                    default="auto",
                    help="restrict to initial complexes (auto: per objective)")
-    common(p)
 
-    p = sub.add_parser("verify", help="run a fixed verification battery", epilog=(
+    p = command("verify", _cmd_verify, help="run a fixed verification battery", epilog=(
         "grids: hilton = (5,2,2),(4,1,2); facts = layer facts on 300 seeded "
         "union-bounded families (n<=7), down-shift intersections exhaustive "
         "over a 6-set universe on [3], balls n<=5 u<=4 all centers, 100 "
@@ -477,41 +459,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "reflection = full grid n<=12 |t|<=4 a,b<=3; katona-small = "
         "2<=u<n<=6 against the closed-form bound"))
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    common(p)
 
-    p = sub.add_parser("recheck", help="re-verify a search certificate file")
+    p = command("recheck", _cmd_recheck, help="re-verify a search certificate file")
     p.add_argument("--input", required=True)
-    common(p)
 
     return ap
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "check": _cmd_check,
-    "transform": _cmd_transform,
-    "overflow": _cmd_overflow,
-    "walks": _cmd_walks,
-    "bound": _cmd_bound,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "recheck": _cmd_recheck,
-}
-
-
 def run(argv=None) -> int:
+    """Run one subcommand and emit its answer; return the exit code."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _HANDLERS[args.command](args)
+        answer = args.handler(args)
+        _emit(answer, args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if any(answer.get(key) is False for key in ("holds", "all_hit", "recheck")):
+        return 1
+    return 3 if answer.get("timed_out") is True else 0
 
 
 def main() -> None:

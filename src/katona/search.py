@@ -80,8 +80,9 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .core import (
-    CapExceeded, SEARCH_CAP, SetFamily, diameter, family_from_json_dict,
-    family_to_json_dict, is_t_intersecting, is_u_union, mask_key, mask_of,
+    ALGEBRAIC_CAP, CapExceeded, SEARCH_CAP, SetFamily, diameter,
+    family_from_json_dict, family_to_json_dict, is_t_intersecting, is_u_union,
+    mask_key, mask_of,
 )
 from .bounds import walk_gap_bound, walk_skip_bound
 from . import constructions as cons
@@ -259,7 +260,7 @@ class Objective:
     outside: Callable[[_Instance, int, int], bool]   # instance, anchor, member
     roots: Callable[[Sequence[int]], Iterable[int]]  # pool -> ascending indices
     anchors: Callable[[_Instance], Iterable[int]] = lambda i: (0,)   # one by default
-    max_n: int = SEARCH_CAP
+    max_n: int = ALGEBRAIC_CAP         # the evaluator's; `maximize` caps at SEARCH_CAP
 
 
 def _katona_seeds(i: _Instance) -> list[SetFamily]:
@@ -356,7 +357,7 @@ def _instance(obj: Objective, params: dict) -> _Instance:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > obj.max_n:
-        raise CapExceeded(f"search needs n <= {obj.max_n}, got {n}")
+        raise CapExceeded(f"objective needs n <= {obj.max_n}, got {n}")
     return obj.instance(n, *rest)
 
 
@@ -874,17 +875,19 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
     not depend on pruning, and the count of valued families falls toward 1
     when the seed is already optimal.
 
-    With pruning, the search starts once per root, at each index i that
-    `roots` yields in ascending order, r = pool[i], at the node ({r}, the
-    compatible pool sets after r, those before r), which holds exactly the
-    maximal families whose smallest member is r.  The root lemma: suppose
-    every family F has a symmetry g of the relation and the value whose
-    image g(F) has a root r as its smallest member, with r <= min F in key
-    order.  Let W be the optimal maximal family with the smallest key.
-    Then g(W) is also optimal and maximal, so key(g(W)) >= key(W), and
-    their first entries give r >= min W >= r.  So W starts at a root, and
-    the optimum and the witness cannot change.  Without pruning every
-    maximal family is enumerated, so the unpruned engine stays the oracle.
+    The search starts once per root, at each index i that `roots` yields in
+    ascending order, r = pool[i], at the node ({r}, the compatible pool sets
+    after r, those before r), which holds exactly the maximal families whose
+    smallest member is r.  Without pruning every pool index is a root, so
+    every maximal family is valued once, under its smallest member, and the
+    unpruned engine stays the oracle.  With pruning only the objective's
+    roots are passed, which the root lemma justifies: suppose every family
+    F has a symmetry g of the relation and the value whose image g(F) has a
+    root r as its smallest member, with r <= min F in key order.  Let W be
+    the optimal maximal family with the smallest key.  Then g(W) is also
+    optimal and maximal, so key(g(W)) >= key(W), and their first entries
+    give r >= min W >= r.  So W starts at a root, and the optimum and the
+    witness cannot change.
     """
     cliques = calls = 0
     wb = 0                              # the searched witness's pool bitset
@@ -937,14 +940,11 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
 
     try:
         _check_deadline(deadline)
-        if not use_pruning:
-            expand(0, (1 << len(pool)) - 1, 0)
-        else:
-            for i in roots:
-                vb, av = 1 << i, adj[i]
-                p, x = av & ~(vb - 1), av & (vb - 1)
-                if p or not x:          # else {r} extends only into X: not maximal
-                    expand(vb, p, x)
+        for i in roots:
+            vb, av = 1 << i, adj[i]
+            p, x = av & ~(vb - 1), av & (vb - 1)
+            if p or not x:              # else {r} extends only into X: not maximal
+                expand(vb, p, x)
     except _TimeUp:
         return cliques, True
     return cliques, False
@@ -966,6 +966,8 @@ def maximize(objective: str, params: dict,
     obj = _objective(objective)
     options = options or SearchOptions()
     inst = _instance(obj, params)
+    if inst.n > SEARCH_CAP:
+        raise CapExceeded(f"search needs n <= {SEARCH_CAP}, got {inst.n}")
     restricted = options.restrict_to_initial_complexes
     if restricted is None:
         restricted = obj.shift_invariant
@@ -983,7 +985,8 @@ def maximize(objective: str, params: dict,
     else:
         pool, out, adj = _pool(obj, inst)
         incumbent = _Incumbent(obj, inst)
-        nodes, timed_out = _exhaustive(pool, adj, out, obj.roots(pool), incumbent,
+        roots = obj.roots(pool) if options.use_pruning else range(len(pool))
+        nodes, timed_out = _exhaustive(pool, adj, out, roots, incumbent,
                                        deadline, options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from io import StringIO
@@ -6,7 +8,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katona import b_family, family_from_json, katona, maximize
+from katona import b_family, binom, family_from_json, katona, maximize
 from katona.cli import _BOUNDS, _PREDICATES, _SUITES, _TRANSFORMS, _WALKS, run
 from katona.constructions import CONSTRUCTIONS
 from katona.search import OBJECTIVES
@@ -149,6 +151,37 @@ def test_search_and_recheck_round_trip(tmp_path, capsys):
     assert run(["recheck", "--input", str(cert),
                 "-o", str(tmp_path / "r2.json")]) == 1
     capsys.readouterr()
+
+
+def test_recheck_above_the_search_cap(tmp_path, capsys):
+    # a certificate for n = 30 > SEARCH_CAP is rechecked, not refused
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({
+        "objective": "max_union_size", "params": {"n": 30, "u": 4},
+        "optimum": "466", "witness": {"n": 30, "hex": [
+            format(m, "x") for m in katona(30, 4).members]},
+        "proven_optimal": False, "reduction": "none", "nodes": 0, "elapsed_ms": 0}))
+    code, obj = run_json(capsys, ["recheck", "--input", str(cert)])
+    assert code == 0 and obj == {"recheck": True}
+
+
+def test_flags_come_from_the_tables(monkeypatch, capsys):
+    # an objective, a bound and a construction that read flags no other
+    # entry reads get those flags from their tables
+    monkeypatch.setitem(OBJECTIVES, "probe_union", dataclasses.replace(
+        OBJECTIVES["max_union_size"], params=("n", "r")))
+    monkeypatch.setitem(_BOUNDS, "probe-binom", (binom, ("n", "s")))
+    monkeypatch.setitem(CONSTRUCTIONS, "probe_katona", (katona, ("n", "w")))
+    code, obj = run_json(capsys, ["search", "--objective", "probe-union",
+                                  "--n", "5", "--r", "2"])
+    assert code == 0 and obj["params"] == {"n": 5, "r": 2}
+    assert obj["optimum"] == "6" and obj["proven_optimal"]
+    code, obj = run_json(capsys, ["bound", "--name", "probe-binom",
+                                  "--n", "5", "--s", "2"])
+    assert code == 0 and obj == {"name": "probe-binom", "value": "10"}
+    code, obj = run_json(capsys, ["construct", "--family", "probe-katona",
+                                  "--n", "5", "--w", "2"])
+    assert code == 0 and family_from_json(json.dumps(obj)) == katona(5, 2)
 
 
 @pytest.mark.parametrize("objective,flags", [
@@ -332,6 +365,27 @@ SUBCOMMANDS = {
 }
 
 
+# subcommand -> the flags its table reads
+TABLE_FLAGS = {
+    "construct": {name for _, names in CONSTRUCTIONS.values() for name in names},
+    "check": {name for _, names in _PREDICATES.values() for name in names},
+    "walks": {name for _, names in _WALKS.values() for name in names},
+    "bound": {name for _, names in _BOUNDS.values() for name in names},
+    "search": {name for obj in OBJECTIVES.values() for name in obj.params},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_help_names_every_flag(capsys, command):
+    assert run([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    choice_flag, _, int_flags, inputs = SUBCOMMANDS[command]
+    flags = {f"--{name}" for name in TABLE_FLAGS.get(command, set()) | set(int_flags)}
+    flags |= set(inputs) | ({choice_flag} if choice_flag else set())
+    for flag in flags:
+        assert re.search(rf"{flag}\b", text), (command, flag)
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     """Valid and malformed family and certificate files, and a missing path."""
@@ -354,7 +408,8 @@ def fuzz_files(tmp_path_factory):
 @given(data=st.data())
 def test_cli_fuzz_every_subcommand(fuzz_files, data):
     # a subcommand with a drawn choice, integer flags in [-2, 63] and input
-    # files answers 0, 1, 2 or 3 without a traceback, and 1 only as a verdict
+    # files answers 0, 1, 2 or 3 without a traceback, 1 only as a verdict,
+    # and 0 only without a false verdict or a timeout
     command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
     choice_flag, choices, int_flags, inputs = SUBCOMMANDS[command]
     argv = [command]
@@ -379,3 +434,8 @@ def test_cli_fuzz_every_subcommand(fuzz_files, data):
         verdict = json.loads(out.getvalue())
         assert False in (verdict.get("holds"), verdict.get("all_hit"),
                          verdict.get("recheck")), argv
+    if code == 0:
+        answer = json.loads(out.getvalue())
+        assert False not in (answer.get("holds"), answer.get("all_hit"),
+                             answer.get("recheck")), argv
+        assert answer.get("timed_out") is not True, argv

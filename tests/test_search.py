@@ -729,6 +729,21 @@ def test_recheck_rejects_tampering():
     assert not recheck(infeasible)
 
 
+def test_recheck_is_capped_by_the_evaluator_not_the_search():
+    # maximize refuses n above SEARCH_CAP = 24, but a certificate above it
+    # is rechecked up to its evaluator's cap
+    cert = SearchCertificate(
+        objective="max_union_size", params={"n": 30, "u": 4}, optimum=466,
+        witness=katona(30, 4), proven_optimal=False, reduction_used="none",
+        nodes_explored=0, elapsed_ms=0)
+    assert recheck(cert)
+    assert not recheck(dataclasses.replace(cert, optimum=467))
+    with pytest.raises(CapExceeded, match="search needs n <= 24"):
+        maximize("max_union_size", {"n": 25, "u": 4})
+    # the one-anchor diametral count has no center enumeration to cap
+    assert katona_overflow_of(katona(30, 4), 4) == 0
+
+
 def test_params_must_match_the_objective():
     # a missing or an extra parameter is refused by name, never a KeyError,
     # and never written into a certificate
