@@ -193,10 +193,9 @@ def is_cross_t_intersecting(fam_a: SetFamily, fam_b: SetFamily, t: int) -> bool:
     return True
 
 
-def is_complex(fam: SetFamily) -> bool:
-    """Closed under taking subsets (removing one element at a time suffices)."""
-    present = set(fam.members)
-    for m in fam.members:
+def _down_closed(present: set[int]) -> bool:
+    """Removing an element from a member gives a member: no down-shift moves one."""
+    for m in present:
         rem = m
         while rem:
             bit = rem & (-rem)
@@ -204,6 +203,11 @@ def is_complex(fam: SetFamily) -> bool:
                 return False
             rem ^= bit
     return True
+
+
+def is_complex(fam: SetFamily) -> bool:
+    """Closed under taking subsets (removing one element at a time suffices)."""
+    return _down_closed(set(fam.members))
 
 
 # ---------------------------------------------------------------------------

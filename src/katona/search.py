@@ -9,8 +9,8 @@ engines and the CLI read the records and nothing else.  Every value is a
 minimum over anchors a of the members outside a's extremal family (one
 anchor for the counting objectives, an element x for odd overflow and
 diversity, a ball center for diametral overflow).  One evaluator,
-`_min_outside`, computes it on mask lists for the seeds, the layered
-leaves, `recheck` and the public `*_of` functions.
+`_min_outside`, computes it on mask lists for the seeds, `recheck` and the
+public evaluators but `katona_overflow_of`, one count at the empty center.
 
 Two engines back `maximize`:
 
@@ -24,18 +24,13 @@ Two engines back `maximize`:
   closed-form layer caps and the gap/skip walk bounds, so disabling
   pruning never changes the optimum.
 
-  The kernel, `_LayeredDFS`, numbers the candidate sets by level and then in
-  `combinations` order, with the free sets after them, and works on int
-  bitsets over that index space: `ready` holds the candidates whose needed
-  sets are all included, `has[x]` the sets containing element x, and
-  `blocked` the sets incompatible with an included member, the OR of
-  per-candidate incompatibility rows that `_incompat_rows`, a bit-sliced
-  counter, builds from `has` on first use.  It branches on the lowest index
-  of `avail = ready & ~blocked`, and runs on an explicit stack with one
-  frame per included member instead of recursing.  A frame keeps its node's
-  layer caps, `blocked`, `avail` and the count of the free sets outside
-  `blocked` that the first anchor counts, so unwinding restores them and
-  the bound reads that count.  `run` returns its node count.
+  The kernel, `_LayeredDFS`, works on int bitsets over one index space:
+  the candidates by level and then in `combinations` order, the free sets
+  after them.  It branches on the lowest ready candidate compatible with
+  the included members, runs on an explicit stack with one frame per
+  included member, and values a leaf, an initial complex, by its count at
+  the first anchor, the least over the anchors there.  `run` returns its
+  node count and whether the deadline stopped it.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -94,14 +89,14 @@ _EXHAUSTIVE_POOL_CAP = 600
 # ---------------------------------------------------------------------------
 # the one evaluator on mask lists
 
-def _min_outside(obj: Objective, inst: _Instance, masks: Sequence[int],
-                 anchors: Iterable | None = None) -> tuple[int, int | None]:
-    """min over the anchors a of `obj` (or the given ones) of the members
-    outside a's extremal family, with the first minimizing anchor.  A count
-    stops once it reaches the best so far, and the scan stops at 0."""
+def _min_outside(obj: Objective, inst: _Instance,
+                 masks: Sequence[int]) -> tuple[int, int | None]:
+    """min over the anchors a of `obj` of the members outside a's extremal
+    family, with the first minimizing anchor.  A count stops once it
+    reaches the best so far, and the scan stops at 0."""
     outside = obj.outside
     best, best_a = len(masks) + 1, None
-    for a in obj.anchors(inst) if anchors is None else anchors:
+    for a in obj.anchors(inst):
         v = 0
         for m in masks:
             if outside(inst, a, m):
@@ -115,11 +110,9 @@ def _min_outside(obj: Objective, inst: _Instance, masks: Sequence[int],
     return best, best_a
 
 
-def _of(name: str, fam: SetFamily, u: int,
-        anchors: Iterable | None = None) -> tuple[int, int | None]:
+def _of(name: str, fam: SetFamily, u: int) -> tuple[int, int | None]:
     """`_min_outside` of the objective `name` on fam at union bound u."""
-    return _min_outside(OBJECTIVES[name], _Instance(fam.n, u, ()), fam.members,
-                        anchors)
+    return _min_outside(OBJECTIVES[name], _Instance(fam.n, u, ()), fam.members)
 
 
 def overflow_even_of(fam: SetFamily, d: int) -> int:
@@ -160,7 +153,8 @@ def katona_overflow_of(fam: SetFamily, u: int) -> int:
     """
     if u < 1:
         raise ValueError(f"need u >= 1, got {u}")
-    return _of("diametral_overflow", fam, u, (0,))[0]
+    outside, inst = OBJECTIVES["diametral_overflow"].outside, _Instance(fam.n, u, ())
+    return sum(outside(inst, 0, m) for m in fam.members)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +236,15 @@ class Objective:
     The value of a family is a minimum over anchors a, taken in the order
     `anchors` gives them, of its members outside a's extremal family: the
     members M with `outside(inst, a, M)`.  A minimum of member counts never
-    decreases when members are added, which both engines rely on, and never
-    exceeds the count at the first anchor, which the layered engine bounds
-    with.  `sizes` are the member sizes the exhaustive engine enumerates:
-    members of other sizes are infeasible or cannot raise the value, and
-    every set of these sizes is self-compatible.  `roots` gives, ascending,
-    the pool indices the pruned exhaustive engine starts at (the root lemma
-    in `_exhaustive`).
+    decreases when members are added, which both engines rely on.  On the
+    initial complexes that the layered engine searches it is the count at
+    the first anchor (x = 1 by the shift x -> 1, the empty center by the
+    down-shifts), which that engine bounds and values its leaves with.
+    `sizes` are the member sizes the exhaustive engine enumerates: members
+    of other sizes are infeasible or cannot raise the value, and every set
+    of these sizes is self-compatible.  `roots` gives, ascending, the pool
+    indices the pruned exhaustive engine starts at (the root lemma in
+    `_exhaustive`).
     """
 
     params: tuple[str, ...]            # in the order `instance` takes them
@@ -597,21 +593,23 @@ class _LayeredDFS:
     Candidates are the sets of the constrained levels, by level and within
     a level in `combinations` order; index i < N is one candidate.  The
     free sets (the levels below, completed greedily at a leaf) take the
-    indices from N on, ascending by size, and `counted` marks those outside
-    the extremal family of the objective's first anchor: the value, a
-    minimum over anchors, never exceeds the members counted there, and the
-    bound counts every candidate as if it were.  `has[x]` is the bitset of
-    the sets that contain element x, and `incompat[j]` the sets
-    incompatible with candidate j, counted by `_incompat_rows` under the
-    relation's rule for the reduction on j's first inclusion.  `blocked` is
-    the OR of `incompat` over the included members, so a set is compatible
-    with all of them exactly when its bit is clear.
+    indices from N on, ascending by size.  `counted` and
+    `counted_candidates` mark the free sets and the candidates outside the
+    first anchor's extremal family.  A leaf is an initial complex, so its
+    value is its count there (`Objective`), `alive_n` plus its members in
+    `counted_candidates`; the bound counts every candidate.  `has[x]` is
+    the bitset of the sets that contain element x, and `incompat[j]` the
+    sets incompatible with candidate j, counted by `_incompat_rows` under
+    the relation's rule for the reduction on j's first inclusion.
+    `blocked` is the OR of `incompat` over the included members, so a set
+    is compatible with all of them exactly when its bit is clear.
 
-    A candidate needs its immediate predecessors and, above the lowest
-    level, its shadow; every need has a smaller index.  `ready` is the
-    bitset of the candidates whose needs are all included; including i
-    counts down `missing` for the candidates in `deps[i]` (built on i's
-    first inclusion) and ORs in those that become ready.
+    A candidate m = {a1 < ... < ak} needs its immediate predecessors and,
+    above the lowest level, m minus a1: the levels are down-sets, and every
+    other shadow member precedes that one.  Every need has a smaller index.
+    `ready` is the bitset of the candidates whose needs are all included;
+    including i counts down `missing` for the candidates in `deps[i]`
+    (built on i's first inclusion) and ORs in those that become ready.
 
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
@@ -638,7 +636,6 @@ class _LayeredDFS:
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
         self.inst = inst
-        self.obj = obj
         self.use_pruning = use_pruning
         n = inst.n
         self.N = sum(comb(n, k) for k in inst.levels)
@@ -652,7 +649,8 @@ class _LayeredDFS:
         self.caps0: list[int] = []
         self.special_cap: dict[int, int] = {}    # index -> gap/skip cap
         self.has = [0] * n
-        self.counted = 0
+        self.counted = 0                   # free sets counted at the first anchor
+        self.counted_candidates = 0        # and the candidates counted there
         level_bits: dict[int, int] = {}    # size -> the level's bitset
         rel = obj.relation
         meet = rel.reduction_meet or rel.meet
@@ -664,16 +662,16 @@ class _LayeredDFS:
             level_bits[k] = ((1 << len(level)) - 1) << start
             for x, h in enumerate(has):
                 self.has[x] |= h << start
+            out = sum(1 << i for i, m in enumerate(level) if outside(inst, a0, m))
             if li >= len(inst.levels):     # a free level
-                self.counted |= sum(1 << i for i, m in enumerate(level)
-                                    if outside(inst, a0, m)) << start
+                self.counted |= out << start
                 continue
+            self.counted_candidates |= out << start
             # layer k is meet(u, k, k)-intersecting: (2(k - d) - h) for
             # u = 2d + h, 1 for intersecting families
             self.caps0.append(min(comb(n, k), comb(n, k - meet(inst.u, k, k))))
-            # the immediate predecessors, plus the shadow above the lowest level
-            extra = k if li else 0
-            self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + extra
+            # the immediate predecessors, plus one shadow member above the lowest level
+            self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + (li > 0)
                               for m in level]
             self.level_of += [li] * len(level)
             self.spans.append((start, len(self.masks)))
@@ -690,35 +688,23 @@ class _LayeredDFS:
     def _deps(self, j: int) -> list[int]:
         """Build deps[j], the candidates that need candidate j: its immediate
         successors (one element slides up one slot) and the supersets one
-        level up."""
+        level up whose lowest element is new."""
         m, index = self.masks[j], self.index
         full = (1 << self.inst.n) - 1
         # x in m, x + 1 in [n] but not in m: x moves to x + 1
         out = [index[m ^ 3 << x] for x in _bits(m & ~(m >> 1) & full >> 1)]
         if self.level_of[j] + 1 < len(self.spans):
-            out += [index[m | 1 << x] for x in _bits(full & ~m)]
+            out += [index[m | 1 << x] for x in _bits((m & -m) - 1)]
         self.deps[j] = out
         return out
-
-    def _leaf(self, incumbent: _Incumbent, stack: list[tuple], blocked: int,
-              alive_n: int) -> None:
-        """Offer the included members, one per stack frame, plus every
-        compatible free set.  The value never exceeds the counted members,
-        included plus the `alive_n` counted free sets still compatible, and
-        the incumbent ignores lower values, so such a leaf returns at once."""
-        if len(stack) + alive_n < incumbent.value:
-            return
-        masks = self.masks
-        out = ([masks[frame[0]] for frame in stack]
-               + [masks[b] for b in _bits(self.free & ~blocked)])
-        incumbent.offer(_min_outside(self.obj, self.inst, out)[0], out)
 
     def run(self, incumbent: _Incumbent, deadline: float | None) -> tuple[int, bool]:
         """Offer every leaf the bounds leave open to the incumbent; return
         the nodes entered and whether the deadline stopped the search."""
-        N, masks, level_of = self.N, self.masks, self.level_of
+        N, masks, level_of, free = self.N, self.masks, self.level_of, self.free
         deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
         counted, use_pruning = self.counted, self.use_pruning
+        counted_candidates = self.counted_candidates
         special_at = tuple(sorted(special_cap))   # the gap/skip indices, ascending
         special_lc = tuple((level_of[p], special_cap[p]) for p in special_at)
         levels = tuple((li, start, end, end - start)
@@ -762,9 +748,14 @@ class _LayeredDFS:
                     li, cap = special_lc[i]
                     if cap < caps[li]:
                         caps[li] = cap
-                if j == N:
-                    self._leaf(incumbent, stack, blocked, alive_n)
-                elif not prune(j):
+                if j == N and len(stack) + alive_n >= incumbent.value:
+                    # a leaf: its members (one per frame) and the free sets
+                    # outside `blocked`; the incumbent ignores lower values
+                    value = alive_n + sum(counted_candidates >> f[0] & 1 for f in stack)
+                    if value >= incumbent.value:
+                        incumbent.offer(value, [masks[f[0]] for f in stack]
+                                        + [masks[b] for b in _bits(free & ~blocked)])
+                elif j < N and not prune(j):
                     # include j; when prune(j) cuts it, b(j + 1) <= b(j)
                     # cuts the exclude child too
                     newly = 0

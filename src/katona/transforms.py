@@ -4,13 +4,15 @@ The public operators are pure: each takes a SetFamily and returns a new one.
 Inside, a family is a set of masks, changed in place: `_OPS`, the one table
 of op kinds, gives each its arguments and a step that validates them and
 applies the op, so an op sequence is canonicalised once; `_sweep`, the one
-fixpoint driver, repeats kernels in a fixed order until nothing moves.  A
-family is initial (no i<-j shift moves a member) iff it is closed under the
-elementary moves j -> j-1: by induction on j - i, a swap j -> i walks the
-hole at the largest absent k >= i up to j, then recurses on k -> i.  So a
-shift sweep, its ops grouped by i, also ends at the first group boundary
-where every family is initial: no later op could move a member, the log is
-the same, and `passes` counts the sweep that would move nothing as before.
+fixpoint driver, repeats kernels in a fixed order until a test shows that
+no op can move a member.  No down-shift moves a member of a family exactly
+when it is a complex (`core._down_closed`), and no i<-j shift exactly when
+it is closed under the elementary moves j -> j-1: by induction on j - i, a
+swap j -> i walks the hole at the largest absent k >= i up to j, then
+recurses on k -> i.  So a shift sweep, its ops grouped by i, also ends at
+the first group boundary where every family is initial: no later op could
+move a member, the log is the same, and `passes` counts the sweep that
+would move nothing as before.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import SetFamily, elements_of, mask_key
+from .core import SetFamily, _down_closed, elements_of, mask_key
 
 
 def _shift(present: set[int], bi: int, bj: int) -> bool:
@@ -140,18 +142,19 @@ def _closed(present: set[int]) -> bool:
     return True
 
 
-def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled=None) -> ShiftLog:
+def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled) -> ShiftLog:
     """Apply the ops of `groups`, each a (log entry, kernel, kernel bits), in
     order to every set, sweep after sweep, until a sweep changes none of
     them.  The log records each op that moved a member of some set, and
     `passes` counts the sweeps: one more than those that moved a member.
-    When `settled` holds for every set no op can move a member, so the sweep
-    ends there; it is checked before the first sweep and after each group
-    that moved a member, and the sweep that would move nothing is counted
-    but not run.  For the i<-j shifts, grouped by i, it is `_closed`, which
-    is exact (see the module docstring).  Checking after every moving op
-    instead made shifts of small random families about 5 % slower."""
-    if settled and all(map(settled, sets)):
+    `settled` holds for a set exactly when no op can move a member of it,
+    so the sweep ends once it holds for every set; it is checked before the
+    first sweep and after each group that moved a member, and the sweep
+    that would move nothing is counted but not run.  For the i<-j shifts,
+    grouped by i, it is `_closed`, for the down-shifts `_down_closed` (see
+    the module docstring).  Checking after every moving op instead made
+    shifts of small random families about 5 % slower."""
+    if all(map(settled, sets)):
         return ShiftLog((), 1)
     log = []
     passes = 1
@@ -163,7 +166,7 @@ def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled=None) -> Shi
                 # a list, not a generator, so that every set is shifted
                 if any([kernel(present, *bits) for present in sets]):
                     log.append(entry)
-            if settled and len(log) > before and all(map(settled, sets)):
+            if len(log) > before and all(map(settled, sets)):
                 return ShiftLog(tuple(log), passes + 1)
         if len(log) == start:
             return ShiftLog(tuple(log), passes)
@@ -215,7 +218,7 @@ def is_initial(fam: SetFamily) -> bool:
 def _downshift_fixpoint(fam: SetFamily) -> tuple[SetFamily, ShiftLog]:
     present = set(fam.members)
     log = _sweep([present], [[(("downshift", i), _shift, (0, 1 << (i - 1)))
-                              for i in range(1, fam.n + 1)]])
+                              for i in range(1, fam.n + 1)]], _down_closed)
     return SetFamily.from_masks(fam.n, present), log
 
 

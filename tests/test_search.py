@@ -14,11 +14,12 @@ from hypothesis import given, strategies as st
 from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
     b_family, ball, d_even, d_even_overflow, diameter, diametral_overflow,
-    down_closure, elements_of, family_from_sets, g_family, katona, katona_bound,
-    katona_overflow_of, maximize, overflow_even_of, overflow_odd_of, recheck,
-    mask_of, search, triangle, verify_hilton,
+    down_closure, elements_of, family_from_sets, g_family, is_complex, is_initial,
+    katona, katona_bound, katona_overflow_of, make_initial, maximize,
+    overflow_even_of, overflow_odd_of, recheck, mask_of, search, triangle,
+    verify_hilton,
 )
-from helpers import random_family
+from helpers import random_family, random_u_union_family
 
 
 # -- direct evaluators -----------------------------------------------------------
@@ -218,6 +219,73 @@ def test_layered_bitsets_match_their_definitions():
                     if masks[i].bit_count() >= t), (name, n, v)
 
 
+def _instances(max_n):
+    """Every valid instance with n <= max_n, as (name, objective, params,
+    instance)."""
+    for name, obj in search.OBJECTIVES.items():
+        for n in range(1, max_n + 1):
+            for v in range(n + 1):
+                params = dict(zip(obj.params, (n, v)))
+                try:
+                    yield name, obj, params, search._instance(obj, params)
+                except ValueError:
+                    continue
+
+
+def _first_anchor_count(obj, inst, masks):
+    a = next(iter(obj.anchors(inst)))
+    return sum(obj.outside(inst, a, m) for m in masks)
+
+
+def test_first_anchor_minimizes_on_initial_complexes():
+    # the layered engine values a leaf, an initial complex, by its count at
+    # the first anchor (x = 1, or the empty center): shifting x -> 1 shows
+    # that x = 1 minimizes, and down-shifts that the empty center does
+    rng = random.Random(45)
+    families = 0
+    for name, obj, _, inst in _instances(8):
+        n = inst.n
+        for _ in range(10):
+            if inst.u is None:             # k-uniform intersecting
+                k, masks = inst.levels[0], []
+                for _ in range(rng.randrange(1, 16)):
+                    m = mask_of(rng.sample(range(1, n + 1), k))
+                    if all(m & o for o in masks):
+                        masks.append(m)
+                fam = make_initial(SetFamily.from_masks(n, masks))[0]
+            else:
+                fam = random_u_union_family(rng, n, inst.u, rng.randrange(1, 30))
+                fam = down_closure(make_initial(fam)[0])
+                assert is_complex(fam)
+            assert is_initial(fam) and obj.relation.holds(inst, fam), (name, fam)
+            assert (search._min_outside(obj, inst, fam.members)[0]
+                    == _first_anchor_count(obj, inst, fam.members)), (name, fam)
+            families += 1
+    assert families > 1000
+
+
+def test_needs_are_predecessors_and_one_shadow_member():
+    # a candidate m needs its immediate predecessors (one element slides
+    # down one slot) and, above the lowest level, m minus its lowest
+    # element: the other shadow members precede that one coordinatewise,
+    # and every level is a down-set.  `missing0` counts the needs and
+    # `_deps(j)` lists the candidates that need j
+    for name, obj, _, inst in _instances(8):
+        dfs = search._LayeredDFS(obj, inst, True)
+        needs = [[] for _ in range(dfs.N)]
+        for j in range(dfs.N):
+            for t in dfs._deps(j):
+                needs[t].append(j)
+        for t, m in enumerate(dfs.masks[:dfs.N]):
+            want = [m ^ 3 << x - 1 for x in range(1, inst.n)
+                    if m >> x & 1 and not m >> x - 1 & 1]
+            if dfs.level_of[t]:
+                want.append(m & (m - 1))
+            assert sorted(dfs.masks[j] for j in needs[t]) == sorted(want), (name, m)
+            assert dfs.missing0[t] == len(needs[t]), (name, m)
+            assert all(j < t for j in needs[t]), (name, m)
+
+
 def test_walk_caps_example():
     # the 4-sets of [9]: gap sets (1..p, p+2, ..., 8-p) for p < 4 with cap
     # C(9, 3-p), and skip sets (p, p+2, p+4, p+6) for p = 2, 3; the skip set
@@ -389,6 +457,42 @@ def test_restricted_results_pinned(objective, params, optimum, maximizers, witne
     assert cert.witness == family_from_sets(params["n"], witness)
     assert not cert.proven_optimal and not cert.timed_out
     assert recheck(cert)
+
+
+def test_layered_offers_the_evaluator_value(monkeypatch):
+    # a leaf is offered with its count at the first anchor; on every leaf
+    # that reaches the incumbent it equals `_min_outside`
+    offered = []
+    offer = search._Incumbent.offer
+
+    def spy(self, value, masks):
+        offered.append((value, list(masks)))
+        return offer(self, value, masks)
+    monkeypatch.setattr(search._Incumbent, "offer", spy)
+    total = 0
+    for pruning in (True, False):
+        options = SearchOptions(restrict_to_initial_complexes=True, use_pruning=pruning)
+        for name, obj, params, inst in _instances(7):
+            maximize(name, params, options)
+            for value, masks in offered:
+                assert value == search._min_outside(obj, inst, masks)[0], (name, inst)
+            total += len(offered)
+            offered.clear()
+    assert total > 500
+
+
+@pytest.mark.parametrize("n,d", [(7, 2), (8, 2), (8, 3)])
+def test_odd_diametral_search_is_the_odd_overflow_search(n, d):
+    # on initial complexes both count the members M with |M \ {1}| > d at
+    # their first anchor, so the forced-restricted searches agree
+    options = SearchOptions(time_limit=30, restrict_to_initial_complexes=True)
+    odd = maximize("overflow_odd", {"n": n, "d": d}, options).to_json_dict()
+    diam = maximize("diametral_overflow", {"n": n, "u": 2 * d + 1},
+                    options).to_json_dict()
+    for cert in (odd, diam):
+        for key in ("objective", "params", "reduction", "elapsed_ms"):
+            del cert[key]
+    assert not odd["timed_out"] and odd == diam
 
 
 # -- engine agreement and determinism ------------------------------------------------
