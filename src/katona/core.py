@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 ALGEBRAIC_CAP = 63  # single machine word for masks
 SEARCH_CAP = 24     # enforced by search entry points, not here
@@ -136,6 +136,26 @@ def family_from_sets(n: int, sets: Iterable[Iterable[int]]) -> SetFamily:
 # ---------------------------------------------------------------------------
 # predicates
 
+def _pairs_meet(fam: SetFamily, meet: Callable[[int, int], int]) -> bool:
+    """Every two members A, B (a member with itself too) share at least
+    meet(|A|, |B|) elements.  Members are grouped by size, whatever their
+    order; a pair of sizes whose threshold is not positive is skipped."""
+    by_size: dict[int, list[int]] = {}
+    for m in fam.members:
+        by_size.setdefault(m.bit_count(), []).append(m)
+    if any(meet(s, s) > s for s in by_size):
+        return False
+    for s, group in by_size.items():
+        for t, other in by_size.items():
+            if t < s or (bar := meet(s, t)) <= 0:
+                continue
+            for i, a in enumerate(group):
+                for b in group[i + 1:] if t == s else other:
+                    if (a & b).bit_count() < bar:
+                        return False
+    return True
+
+
 def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     """Every two members (and every member with itself) share >= t elements.
 
@@ -145,39 +165,23 @@ def is_t_intersecting(fam: SetFamily, t: int) -> bool:
     """
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    ms = fam.members
-    for m in ms:
-        if m.bit_count() < t:
-            return False
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            if (a & b).bit_count() < t:
-                return False
-    return True
+    return _pairs_meet(fam, lambda s, r: t)
 
 
 def is_u_union(fam: SetFamily, u: int) -> bool:
-    """Every two members (including a member with itself) have union <= u.
-
-    |A | B| <= |A| + |B|, so only members whose sizes sum above u are
-    compared; members are grouped by size, whatever their order.
-    """
+    """Every two members (a member with itself too) have union <= u; as
+    |A | B| = |A| + |B| - |A & B|, only sizes summing above u are compared."""
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
-    by_size: dict[int, list[int]] = {}
-    for m in fam.members:
-        by_size.setdefault(m.bit_count(), []).append(m)
-    if any(s > u for s in by_size):
-        return False
-    for s, group in by_size.items():
-        for t, other in by_size.items():
-            if t < s or s + t <= u:
-                continue
-            for i, a in enumerate(group):
-                for b in group[i + 1:] if t == s else other:
-                    if (a | b).bit_count() > u:
-                        return False
-    return True
+    return _pairs_meet(fam, lambda s, t: s + t - u)
+
+
+def is_diameter_at_most(fam: SetFamily, u: int) -> bool:
+    """diameter(fam) <= u, without the maximum: |A ^ B| = |A| + |B| - 2 |A & B|,
+    so only members whose sizes sum above u are compared."""
+    if u < 0:
+        raise ValueError(f"u must be nonnegative, got {u}")
+    return _pairs_meet(fam, lambda s, t: -((u - s - t) // 2))
 
 
 def is_cross_t_intersecting(fam_a: SetFamily, fam_b: SetFamily, t: int) -> bool:

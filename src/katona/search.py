@@ -29,8 +29,10 @@ Two engines back `maximize`:
   after them.  It branches on the lowest ready candidate compatible with
   the included members, runs on an explicit stack with one frame per
   included member, and values a leaf, an initial complex, by its count at
-  the first anchor, the least over the anchors there.  `run` returns its
-  node count and whether the deadline stopped it.
+  the first anchor, the least over the anchors there.  Its bound sums per
+  node only the levels up to the current position's: the levels after it
+  hold no member yet and keep their initial caps, so they add a constant.
+  `run` returns its node count and whether the deadline stopped it.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -67,16 +69,16 @@ from __future__ import annotations
 import json
 import re
 import time
-from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .core import (
-    ALGEBRAIC_CAP, CapExceeded, SEARCH_CAP, SetFamily, diameter,
-    family_from_json_dict, family_to_json_dict, is_t_intersecting, is_u_union,
+    ALGEBRAIC_CAP, CapExceeded, SEARCH_CAP, SetFamily, family_from_json_dict,
+    family_to_json_dict, is_diameter_at_most, is_t_intersecting, is_u_union,
     mask_key, mask_of,
 )
 from .bounds import walk_gap_bound, walk_skip_bound
@@ -89,14 +91,17 @@ _EXHAUSTIVE_POOL_CAP = 600
 # ---------------------------------------------------------------------------
 # the one evaluator on mask lists
 
-def _min_outside(obj: Objective, inst: _Instance,
-                 masks: Sequence[int]) -> tuple[int, int | None]:
+def _min_outside(obj: Objective, inst: _Instance, masks: Sequence[int],
+                 deadline: float | None = None) -> tuple[int, int | None]:
     """min over the anchors a of `obj` of the members outside a's extremal
     family, with the first minimizing anchor.  A count stops once it
-    reaches the best so far, and the scan stops at 0."""
+    reaches the best so far, and the scan stops at 0.  A deadline is
+    checked after every 1024 anchors, so one-anchor values always finish."""
     outside = obj.outside
     best, best_a = len(masks) + 1, None
-    for a in obj.anchors(inst):
+    for i, a in enumerate(obj.anchors(inst)):
+        if deadline is not None and i and not i & 1023:
+            _check_deadline(deadline)
         v = 0
         for m in masks:
             if outside(inst, a, m):
@@ -221,7 +226,7 @@ _UNION = _Relation(
 # with the union rule.
 _DIAMETER = _Relation(
     lambda u, k, s: -((u - k - s) // 2),
-    lambda i, fam: diameter(fam) <= i.u, "downshift_complex", _UNION.meet)
+    lambda i, fam: is_diameter_at_most(fam, i.u), "downshift_complex", _UNION.meet)
 _INTERSECT = _Relation(
     lambda u, k, s: 1,
     lambda i, fam: (all(m.bit_count() == i.levels[0] for m in fam.members)
@@ -470,17 +475,22 @@ def _check_deadline(deadline: float | None) -> None:
 class _Incumbent:
     """The best family found so far.
 
-    It starts at the best feasible seed construction; the empty family,
-    feasible for every objective, is the seed of last resort.  The seed
-    stays the result when no searched family reaches its value.  Among the
-    searched families of the best value, `count` counts them and the
-    witness is the one with the smallest canonical key (bit_count, mask).
+    It starts at the best feasible seed construction valued in full by the
+    deadline; the empty family, feasible for every objective and of value
+    0, is the seed of last resort.  The seed stays the result when no
+    searched family reaches its value.  Among the searched families of the
+    best value, `count` counts them and the witness is the one with the
+    smallest canonical key (bit_count, mask).
     """
 
-    def __init__(self, obj: Objective, inst: _Instance):
+    def __init__(self, obj: Objective, inst: _Instance, deadline: float | None):
         seeds = [fam for fam in obj.seeds(inst) if obj.relation.holds(inst, fam)]
-        seeds.append(SetFamily(inst.n, ()))
-        values = [_min_outside(obj, inst, fam.members)[0] for fam in seeds]
+        values = []
+        with suppress(_TimeUp):
+            for fam in seeds:
+                values.append(_min_outside(obj, inst, fam.members, deadline)[0])
+        seeds = seeds[:len(values)] + [SetFamily(inst.n, ())]
+        values.append(0)
         self.value = max(values)
         self.masks = seeds[values.index(self.value)].members   # first seed on ties
         self.key = None                # the witness's key, once a family is searched
@@ -519,6 +529,12 @@ def _walk_caps(n: int, k: int) -> dict[int, int]:
 
 
 _CANDIDATE_CAP = 20_000
+
+
+def _bitset(flags: Iterable[bool]) -> int:
+    """The int whose bit i is set when the i-th flag is true, read from one
+    '0'/'1' string (a sum of 1 << i costs the square of the length)."""
+    return int("0" + "".join(["1" if f else "0" for f in flags])[::-1], 2)
 
 
 def _bits(x: int):
@@ -614,24 +630,26 @@ class _LayeredDFS:
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
     way the child starts at j + 1.  The special (gap/skip) candidates in
-    [pos, j), found by bisecting their sorted indices, and an excluded
-    special j lower their layer caps.  The bound b(pos) = alive_n + sum
-    over levels of min(cap, counts + candidates left from pos), where
-    alive_n counts the counted free sets outside `blocked`, never rises as
-    pos grows or a cap falls.  So one prune(j) after all those caps fall
-    cuts whatever a check at s + 1 after each special s < j would, as
-    b(j) <= b(s + 1); at a leaf (j = N) every level's count is within its
-    cap, so b(N) is the leaf's own check, the included members plus
-    alive_n.  When prune(j) cuts the include child, b(j + 1) <= b(j) cuts
-    the exclude child too.  Including j ORs its incompatibility bitset into
-    `blocked`, adds the candidates it made ready to `avail` and recounts
-    alive_n, once per include; `prune` reads the count.  The stack has one
-    frame per included j: (j, the caps at j's node, and `blocked`, `avail`
-    and alive_n before j); the frames are the only record of the path, and
-    a leaf reads its members from them.  An exclude child shares its
-    parent's frame; unwinding pops a frame, restores the caps and the three
-    values from it, gives back j's `missing` counts and tries j's exclude
-    child.
+    [pos, j), read from the prefix count `nspec`, and an excluded special j
+    lower their layer caps.  The bound b(pos) = alive_n + sum over levels
+    of min(cap, counts + candidates left from pos), where alive_n counts
+    the counted free sets outside `blocked`, never rises as pos grows or a
+    cap falls.  Every included member precedes pos, and a cap falls only at
+    a special already passed, so each level after pos's holds no member and
+    keeps its initial cap: those levels add the constant `tail`, and
+    `prune` sums the others.  One prune(j) after all those caps fall cuts
+    whatever a check at s + 1 after each special s < j would, as b(j) <=
+    b(s + 1); at a leaf (j = N) every level's count is within its cap, so
+    b(N) is the leaf's own check, the included members plus alive_n.  When
+    prune(j) cuts the include child, b(j + 1) <= b(j) cuts the exclude
+    child too.  Including j ORs its incompatibility bitset into `blocked`,
+    adds the candidates it made ready to `avail` and recounts alive_n, once
+    per include; `prune` reads the count.  The stack has one frame per
+    included j: (j, the caps at j's node, and `blocked`, `avail` and
+    alive_n before j); the frames are the only record of the path, and a
+    leaf reads its members from them.  An exclude child shares its parent's
+    frame; unwinding pops a frame, restores the caps and the three values
+    from it, gives back j's `missing` counts and tries j's exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -644,7 +662,7 @@ class _LayeredDFS:
                 f"{self.N} layer candidates exceed the cap of {_CANDIDATE_CAP}")
         self.masks: list[int] = []         # every set of the index space
         self.level_of: list[int] = []      # index into inst.levels
-        self.spans: list[tuple[int, int]] = []   # each level's [start, end)
+        self.ends: list[int] = []          # where each level's indices end
         self.missing0: list[int] = []
         self.caps0: list[int] = []
         self.special_cap: dict[int, int] = {}    # index -> gap/skip cap
@@ -662,7 +680,7 @@ class _LayeredDFS:
             level_bits[k] = ((1 << len(level)) - 1) << start
             for x, h in enumerate(has):
                 self.has[x] |= h << start
-            out = sum(1 << i for i, m in enumerate(level) if outside(inst, a0, m))
+            out = _bitset(outside(inst, a0, m) for m in level)
             if li >= len(inst.levels):     # a free level
                 self.counted |= out << start
                 continue
@@ -674,12 +692,12 @@ class _LayeredDFS:
             self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + (li > 0)
                               for m in level]
             self.level_of += [li] * len(level)
-            self.spans.append((start, len(self.masks)))
-        self.index = {m: i for i, m in enumerate(self.masks[:self.N])}
+            self.ends.append(len(self.masks))
+        self.index = dict(zip(self.masks[:self.N], range(self.N)))
         for k in inst.levels:
             for m, c in _walk_caps(n, k).items():
                 self.special_cap[self.index[m]] = c
-        self.ready0 = sum(1 << i for i, c in enumerate(self.missing0) if not c)
+        self.ready0 = _bitset(not c for c in self.missing0)
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
@@ -693,7 +711,7 @@ class _LayeredDFS:
         full = (1 << self.inst.n) - 1
         # x in m, x + 1 in [n] but not in m: x moves to x + 1
         out = [index[m ^ 3 << x] for x in _bits(m & ~(m >> 1) & full >> 1)]
-        if self.level_of[j] + 1 < len(self.spans):
+        if self.level_of[j] + 1 < len(self.ends):
             out += [index[m | 1 << x] for x in _bits((m & -m) - 1)]
         self.deps[j] = out
         return out
@@ -703,12 +721,18 @@ class _LayeredDFS:
         the nodes entered and whether the deadline stopped the search."""
         N, masks, level_of, free = self.N, self.masks, self.level_of, self.free
         deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
-        counted, use_pruning = self.counted, self.use_pruning
+        counted, use_pruning, ends = self.counted, self.use_pruning, self.ends
         counted_candidates = self.counted_candidates
-        special_at = tuple(sorted(special_cap))   # the gap/skip indices, ascending
-        special_lc = tuple((level_of[p], special_cap[p]) for p in special_at)
-        levels = tuple((li, start, end, end - start)
-                       for li, (start, end) in enumerate(self.spans))
+        # the gap/skip candidates ascending, and nspec[p] of them below index p
+        special_lc = tuple((level_of[p], special_cap[p]) for p in sorted(special_cap))
+        nspec = [0] * (N + 1)
+        for p in special_cap:
+            nspec[p + 1] = 1
+        nspec = list(accumulate(nspec))
+        # pos's level (N's is the last), and the constant that the levels
+        # after a level add: their initial caps, never above their sizes
+        level_at = level_of + [len(ends) - 1]
+        tail = [sum(self.caps0[li + 1:]) for li in range(len(ends))]
         caps = list(self.caps0)
         counts = [0] * len(caps)           # included members per level
         missing = list(self.missing0)
@@ -723,15 +747,13 @@ class _LayeredDFS:
             the layer can still reach from pos on."""
             if not use_pruning:
                 return False
-            b = alive_n
-            for li, start, end, size in levels:
-                reach = counts[li]
-                if pos <= start:
-                    reach += size
-                elif pos < end:
-                    reach += end - pos
-                cap = caps[li]
+            li = level_at[pos]
+            b = alive_n + tail[li]
+            for lo in range(li):           # no candidate left from pos
+                reach, cap = counts[lo], caps[lo]
                 b += cap if cap < reach else reach
+            reach, cap = counts[li] + ends[li] - pos, caps[li]
+            b += cap if cap < reach else reach
             return b < incumbent.value
 
         nodes = pos = 0
@@ -743,8 +765,7 @@ class _LayeredDFS:
                 nodes += 1
                 open_ = avail >> pos
                 j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-                first = bisect_left(special_at, pos)
-                for i in range(first, bisect_left(special_at, j, first)):
+                for i in range(nspec[pos], nspec[j]):
                     li, cap = special_lc[i]
                     if cap < caps[li]:
                         caps[li] = cap
@@ -813,14 +834,9 @@ def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int], list[i
             f"exhaustive pool of {size} candidates exceeds "
             f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
     pool = sorted((m for k in sizes for m in _level(n, k)[0]), key=mask_key)
-    out = [sum(1 << i for i, m in enumerate(pool) if obj.outside(inst, a, m))
-           for a in obj.anchors(inst)]
-    has, spans = [0] * n, {}
-    for i, m in enumerate(pool):
-        b, k = 1 << i, m.bit_count()
-        spans[k] = spans.get(k, 0) | b
-        for x in _bits(m):
-            has[x] |= b
+    out = [_bitset(obj.outside(inst, a, m) for m in pool) for a in obj.anchors(inst)]
+    has = [_bitset(m >> x & 1 for m in pool) for x in range(n)]
+    spans = {k: _bitset(m.bit_count() == k for m in pool) for k in sizes}
     row = _incompat_rows(obj.relation.meet, inst.u, has, spans)
     full = (1 << size) - 1
     adj = [(full & ~row(m)) ^ 1 << i for i, m in enumerate(pool)]
@@ -966,7 +982,7 @@ def maximize(objective: str, params: dict,
     # each engine refuses too many candidates before the seeds are built
     if restricted:
         engine = _LayeredDFS(obj, inst, options.use_pruning)
-        incumbent = _Incumbent(obj, inst)
+        incumbent = _Incumbent(obj, inst, deadline)
         nodes, timed_out = engine.run(incumbent, deadline)
         # no count when the search stopped early or only the seed reached
         # the optimum
@@ -975,7 +991,7 @@ def maximize(objective: str, params: dict,
         reduction = obj.relation.reduction
     else:
         pool, out, adj = _pool(obj, inst)
-        incumbent = _Incumbent(obj, inst)
+        incumbent = _Incumbent(obj, inst, deadline)
         roots = obj.roots(pool) if options.use_pruning else range(len(pool))
         nodes, timed_out = _exhaustive(pool, adj, out, roots, incumbent,
                                        deadline, options.use_pruning)

@@ -10,7 +10,7 @@ from katona import (
     family_to_json, full_star, is_complex, is_cross_t_intersecting,
     is_t_intersecting, is_u_union, katona, layer, mask_of, shadow, trace,
 )
-from katona.core import mask_key
+from katona.core import is_diameter_at_most, mask_key
 from helpers import random_family, random_u_union_family
 
 
@@ -237,6 +237,18 @@ def test_diameter_of_complex_is_max_union():
         max_union = max(
             (a | b).bit_count() for a in fam.members for b in fam.members)
         assert diameter(fam) == max_union
+
+
+def test_diameter_predicate_matches_the_maximum():
+    # every u, including those below a member's size, on seeded families
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        fam = random_family(rng, n, 10)
+        for u in range(n + 1):
+            assert is_diameter_at_most(fam, u) == (diameter(fam) <= u)
+    with pytest.raises(ValueError):
+        is_diameter_at_most(family_from_sets(3, []), -1)
 
 
 def test_avoid_and_trace():

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from functools import cache
@@ -747,6 +750,17 @@ def test_deadline_stops_the_search_mid_tree():
     assert recheck(cert)
 
 
+def test_deadline_bounds_the_seed_valuation():
+    # valuing the b_family seed over 2^19 centers takes seconds; the deadline
+    # drops it and the empty family (value 0) remains
+    t0 = time.monotonic()
+    cert = maximize("diametral_overflow", {"n": 20, "u": 4},
+                    SearchOptions(time_limit=0.2, restrict_to_initial_complexes=True))
+    assert time.monotonic() - t0 < 1
+    assert cert.timed_out and not cert.proven_optimal
+    assert recheck(cert)
+
+
 def test_search_validation():
     with pytest.raises(CapExceeded):
         maximize("max_union_size", {"n": 30, "u": 4})
@@ -846,6 +860,31 @@ def test_recheck_is_capped_by_the_evaluator_not_the_search():
         maximize("max_union_size", {"n": 25, "u": 4})
     # the one-anchor diametral count has no center enumeration to cap
     assert katona_overflow_of(katona(30, 4), 4) == 0
+
+
+def test_recheck_of_a_large_diameter_witness():
+    # katona(22, 10) has 35 443 members; only the pairs whose sizes sum
+    # above u are compared
+    fam = katona(22, 10)
+    cert = SearchCertificate(
+        objective="max_diameter_size", params={"n": 22, "u": 10},
+        optimum=len(fam), witness=fam, proven_optimal=False,
+        reduction_used="downshift_complex", nodes_explored=0, elapsed_ms=0)
+    assert recheck(cert)
+    assert not recheck(dataclasses.replace(cert, params={"n": 22, "u": 9}))
+
+
+def test_certificate_grid_pinned(tmp_path):
+    """The restricted certificate grid, `nodes` included, has the committed
+    digest: a change that moves the layered search tree fails here."""
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "grid.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run([sys.executable, str(root / "scripts" / "certificate_grid.py"),
+                          "--out", str(out)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    digest = (root / "tests" / "data" / "certificate_grid.sha256").read_text().split()[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_params_must_match_the_objective():
