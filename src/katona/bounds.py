@@ -42,18 +42,15 @@ class BoundReport:
     counterexample: tuple | None = None
 
     def to_json_dict(self) -> dict:
-        def frac(q):
-            return None if q is None else (str(q.numerator) if q.denominator == 1
-                                           else f"{q.numerator}/{q.denominator}")
         out = {"name": self.name, "params": dict(self.params)}
         if self.value is not None:
             out["value"] = str(self.value)
         if self.holds is not None:
             out["holds"] = self.holds
         if self.lhs is not None:
-            out["lhs"] = frac(self.lhs)
+            out["lhs"] = str(self.lhs)
         if self.rhs is not None:
-            out["rhs"] = frac(self.rhs)
+            out["rhs"] = str(self.rhs)
         if self.in_proved_regime is not None:
             out["in_proved_regime"] = self.in_proved_regime
         if self.formula:
@@ -98,8 +95,9 @@ def layer_bound(n: int, t: int, ell: int) -> int:
 
 def layer_bound_refined(n: int, t: int, ell: int) -> BoundReport:
     """C(n-1, ell), valid for ell <= (n - t - 1) / 2; regime-flagged."""
-    if t < 1 or ell < 0:
-        raise ValueError(f"need t >= 1 and ell >= 0, got t={t}, ell={ell}")
+    if t < 1 or ell < 0 or t + ell > n:
+        raise ValueError(f"need t >= 1, ell >= 0 and t + ell <= n, "
+                         f"got n={n}, t={t}, ell={ell}")
     return BoundReport(
         name="layer_bound_refined", params={"n": n, "t": t, "ell": ell},
         value=binom(n - 1, ell), in_proved_regime=(2 * ell <= n - t - 1),
@@ -112,8 +110,8 @@ def layer_bound_refined(n: int, t: int, ell: int) -> BoundReport:
 def overflow_bound(n: int, u: int) -> BoundReport:
     """Maximal overflow value: C(n-2, d-1) for u = 2d (regime n >= 6d),
     2 C(n-3, d-1) for u = 2d+1 (regime n > 36(d+1))."""
-    if u < 2:
-        raise ValueError(f"need u >= 2, got {u}")
+    if not 2 <= u < n:
+        raise ValueError(f"need 2 <= u < n, got u={u}, n={n}")
     d = u // 2
     if u % 2 == 0:
         return BoundReport(
@@ -129,8 +127,8 @@ def overflow_bound(n: int, u: int) -> BoundReport:
 def upper_layer_bound(n: int, u: int) -> BoundReport:
     """C(n, r) on layers >= r for u = 2r (regime n >= 3.5r + 1);
     C(n-1, r) on layers >= r+1 for u = 2r+1 (regime n > 4r)."""
-    if u < 2:
-        raise ValueError(f"need u >= 2, got {u}")
+    if not 2 <= u < n:
+        raise ValueError(f"need 2 <= u < n, got u={u}, n={n}")
     r = u // 2
     if u % 2 == 0:
         regime = Fraction(n) >= Fraction(7, 2) * r + 1
@@ -144,8 +142,8 @@ def upper_layer_bound(n: int, u: int) -> BoundReport:
 
 def diversity_formula(n: int, k: int) -> BoundReport:
     """C(n-3, k-2), the exact diversity for n > 36k."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not n > 2 * k or k < 1:
+        raise ValueError(f"need n > 2k >= 2, got n={n}, k={k}")
     return BoundReport(
         name="diversity_formula", params={"n": n, "k": k},
         value=binom(n - 3, k - 2), in_proved_regime=(n > 36 * k),
@@ -164,8 +162,9 @@ def walk_gap_bound(n: int, k: int, p: int) -> int:
 
 def walk_skip_bound(n: int, k: int, p: int) -> int:
     """Size cap C(n,k) - C(n-p+2,k) + C(n-p+2,k-1) when (p, p+2, ..., p+2k-2) is missing."""
-    if not 2 <= p <= k - 1:
-        raise ValueError(f"need 2 <= p <= k-1, got p={p}, k={k}")
+    if not 2 <= p <= k - 1 or p + 2 * k - 2 > n:
+        raise ValueError(f"need 2 <= p <= k-1 and p + 2k - 2 <= n, "
+                         f"got n={n}, k={k}, p={p}")
     return binom(n, k) - binom(n - p + 2, k) + binom(n - p + 2, k - 1)
 
 

@@ -29,9 +29,10 @@ Two engines back `maximize`:
   after them.  It branches on the lowest ready candidate compatible with
   the included members, runs on an explicit stack with one frame per
   included member, and values a leaf, an initial complex, by its count at
-  the first anchor, the least over the anchors there.  Its bound sums per
-  node only the levels up to the current position's: the levels after it
-  hold no member yet and keep their initial caps, so they add a constant.
+  the first anchor, the least over the anchors there.  Its bound reads
+  one level, the current position's: the included members, what that
+  level can still add, and the initial caps of the levels after it.  A
+  finished level's count never exceeds its layer and walk caps.
   `run` returns its node count and whether the deadline stopped it.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
@@ -631,25 +632,26 @@ class _LayeredDFS:
     ready candidates outside `blocked`: include j, then exclude it; either
     way the child starts at j + 1.  The special (gap/skip) candidates in
     [pos, j), read from the prefix count `nspec`, and an excluded special j
-    lower their layer caps.  The bound b(pos) = alive_n + sum over levels
-    of min(cap, counts + candidates left from pos), where alive_n counts
-    the counted free sets outside `blocked`, never rises as pos grows or a
-    cap falls.  Every included member precedes pos, and a cap falls only at
-    a special already passed, so each level after pos's holds no member and
-    keeps its initial cap: those levels add the constant `tail`, and
-    `prune` sums the others.  One prune(j) after all those caps fall cuts
-    whatever a check at s + 1 after each special s < j would, as b(j) <=
-    b(s + 1); at a leaf (j = N) every level's count is within its cap, so
-    b(N) is the leaf's own check, the included members plus alive_n.  When
-    prune(j) cuts the include child, b(j + 1) <= b(j) cuts the exclude
-    child too.  Including j ORs its incompatibility bitset into `blocked`,
-    adds the candidates it made ready to `avail` and recounts alive_n, once
-    per include; `prune` reads the count.  The stack has one frame per
-    included j: (j, the caps at j's node, and `blocked`, `avail` and
-    alive_n before j); the frames are the only record of the path, and a
-    leaf reads its members from them.  An exclude child shares its parent's
-    frame; unwinding pops a frame, restores the caps and the three values
-    from it, gives back j's `missing` counts and tries j's exclude child.
+    lower their layer caps.  With li pos's level, the bound is
+    b(pos) = alive_n + len(stack) + min(caps[li] - counts[li], ends[li] - pos)
+    + tail[li]: the counted free sets outside `blocked`, the included
+    members, what pos's level can still add, and `tail`, the initial caps
+    of the levels after it (they hold no member, and a cap falls only at a
+    special already passed).  A finished level's count is within its cap
+    (`prune`), so b is the sum over levels of min(cap, counts + candidates
+    left from pos) and never rises as pos grows or a cap falls.  One
+    prune(j) after all those caps fall cuts whatever a check at s + 1 after
+    each special s < j would, as b(j) <= b(s + 1); at a leaf (j = N), b(N)
+    is the leaf's own check.  When prune(j) cuts the include child,
+    b(j + 1) <= b(j) cuts the exclude child too.  Including j ORs its
+    incompatibility bitset into `blocked`, adds the candidates it made
+    ready to `avail` and recounts alive_n, once per include.  The stack has
+    one frame per included j: (j, the caps at j's node, and `blocked`,
+    `avail` and alive_n before j); the frames are the only record of the
+    path, and a leaf reads its members from them.  An exclude child shares
+    its parent's frame; unwinding pops a frame, restores the caps and the
+    three values from it, gives back j's `missing` counts and tries j's
+    exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -742,19 +744,17 @@ class _LayeredDFS:
         stack = []              # (j, caps at j's node, blocked, avail, alive_n)
 
         def prune(pos: int) -> bool:
-            """Every objective's value is at most its counted members: the
-            free ones still compatible plus, per level, the layer cap or what
-            the layer can still reach from pos on."""
+            """Cut when b(pos) is below the incumbent.  A level before pos's
+            adds just its count: its members L, an initial k-family, are
+            t-intersecting, t = meet(u, k, k), and miss each staircase
+            passed, so |L| <= C(n, k - t) (`layer_bound`) and |L| <= each
+            missing staircase's walk cap, that is counts <= caps."""
             if not use_pruning:
                 return False
             li = level_at[pos]
-            b = alive_n + tail[li]
-            for lo in range(li):           # no candidate left from pos
-                reach, cap = counts[lo], caps[lo]
-                b += cap if cap < reach else reach
-            reach, cap = counts[li] + ends[li] - pos, caps[li]
-            b += cap if cap < reach else reach
-            return b < incumbent.value
+            room, left = caps[li] - counts[li], ends[li] - pos
+            return (alive_n + len(stack) + (room if room < left else left)
+                    + tail[li] < incumbent.value)
 
         nodes = pos = 0
         try:

@@ -79,6 +79,19 @@ def test_walk_bounds():
         walk_skip_bound(6, 3, 1)
 
 
+@pytest.mark.parametrize("bound,args,shown", [
+    (overflow_bound, (1, 2), "u=2, n=1"),
+    (upper_layer_bound, (0, 3), "u=3, n=0"),
+    (diversity_formula, (2, 3), "n=2, k=3"),
+    (walk_skip_bound, (1, 5, 4), "n=1, k=5, p=4"),
+    (layer_bound_refined, (0, 1, 0), "n=0, t=1, ell=0"),
+])
+def test_bounds_refuse_parameters_outside_their_statement(bound, args, shown):
+    # each names the caller's values, not those of an inner binomial
+    with pytest.raises(ValueError, match=shown):
+        bound(*args)
+
+
 def test_layer_bounds():
     assert layer_bound(9, 2, 3) == comb(9, 3)
     rep = layer_bound_refined(9, 2, 3)
@@ -196,6 +209,13 @@ def test_sperner_cross_on_stars():
     star = full_star(5, 2, 1)
     rep = sperner_cross_check(star, star)
     assert rep.holds and rep.lhs == Fraction(4, 10) + Fraction(4, 10)
+
+
+def test_bound_report_json_writes_fractions_as_str():
+    rep = key_ratio_holds(4, 3, 1, 2).to_json_dict()
+    assert rep["lhs"] == "1/4" and rep["rhs"] == "1/3"
+    star = full_star(5, 2, 1)
+    assert sperner_cross_check(star, star).to_json_dict()["rhs"] == "1"
 
 
 def test_sperner_cross_rejects_non_uniform():

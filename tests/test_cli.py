@@ -249,6 +249,9 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
             (["bound", "--name", "katona", "--n", "5"], "bound katona needs --u"),
             (["bound", "--name", "quintic"], "bound quintic needs --c"),
             (["bound", "--name", "quintic", "--c", "1/0"], "zero denominator"),
+            # a bound checks its own range, not that of an inner binomial
+            (["bound", "--name", "overflow", "--n", "1", "--u", "2"],
+             "need 2 <= u < n, got u=2, n=1"),
             (["check", "--pred", "t-intersecting", "--input", str(fam)],
              "check t-intersecting needs --t"),
             (["check", "--pred", "u-union", "--input", str(fam)],

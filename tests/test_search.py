@@ -16,8 +16,9 @@ from hypothesis import given, strategies as st
 
 from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
-    b_family, ball, d_even, d_even_overflow, diameter, diametral_overflow,
-    down_closure, elements_of, family_from_sets, g_family, is_complex, is_initial,
+    b_family, ball, d_even, d_even_overflow, d_odd5, diameter,
+    diametral_overflow, down_closure, elements_of, family_from_sets, g_family,
+    is_complex, is_initial,
     katona, katona_bound, katona_overflow_of, make_initial, maximize,
     overflow_even_of, overflow_odd_of, recheck, mask_of, search, triangle,
     verify_hilton,
@@ -543,6 +544,9 @@ LAYERED_PINS = [
     ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 299),
     ("upper_layers", {"n": 11, "u": 5}, 45, 1, katona(11, 5), 1479),
     ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 299),
+    # four constrained levels (4..7): a prune in a later level relies on
+    # each finished level's count being within its cap
+    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 609462),
 ]
 
 
