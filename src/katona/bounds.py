@@ -17,11 +17,13 @@ from .core import (CapExceeded, SetFamily, family_to_json_dict,
                    is_cross_t_intersecting, mask_of, shadow)
 from .constructions import lex_segment
 
+BINOM_CAP = 4096    # n of an exact binomial: every bound on it takes under a second
+
 
 def binom(n: int, k: int) -> int:
     """C(n, k), zero outside 0 <= k <= n so sums with shifted indices collapse."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if not 0 <= n <= BINOM_CAP:
+        raise ValueError(f"C({n}, {k}): n must be >= 0 and must not exceed {BINOM_CAP}")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -155,8 +157,8 @@ def diversity_formula(n: int, k: int) -> BoundReport:
 
 def walk_gap_bound(n: int, k: int, p: int) -> int:
     """Size cap C(n, k-p-1) when (1..p, p+2, p+4, ..., 2k-p) is missing."""
-    if not 0 <= p <= k - 1:
-        raise ValueError(f"need 0 <= p <= k-1, got p={p}, k={k}")
+    if not 0 <= p <= k - 1 or 2 * k - p > n:
+        raise ValueError(f"need 0 <= p < k and 2k - p <= n, got n={n}, k={k}, p={p}")
     return binom(n, k - p - 1)
 
 

@@ -9,8 +9,9 @@ engines and the CLI read the records and nothing else.  Every value is a
 minimum over anchors a of the members outside a's extremal family (one
 anchor for the counting objectives, an element x for odd overflow and
 diversity, a ball center for diametral overflow).  One evaluator,
-`_min_outside`, computes it on mask lists for the seeds, `recheck` and the
-public evaluators but `katona_overflow_of`, one count at the empty center.
+`_min_outside`, computes it on mask lists for `recheck` and the public
+evaluators; the seeds, initial families like the layered leaves, and
+`katona_overflow_of` take one count at the first anchor (`_first_count`).
 
 Two engines back `maximize`:
 
@@ -70,7 +71,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import accumulate, combinations
@@ -85,24 +85,20 @@ from .core import (
 from .bounds import walk_gap_bound, walk_skip_bound
 from . import constructions as cons
 
-DIAMETRAL_CENTER_CAP = 20
 _EXHAUSTIVE_POOL_CAP = 600
 
 
 # ---------------------------------------------------------------------------
 # the one evaluator on mask lists
 
-def _min_outside(obj: Objective, inst: _Instance, masks: Sequence[int],
-                 deadline: float | None = None) -> tuple[int, int | None]:
+def _min_outside(obj: Objective, inst: _Instance,
+                 masks: Sequence[int]) -> tuple[int, int | None]:
     """min over the anchors a of `obj` of the members outside a's extremal
     family, with the first minimizing anchor.  A count stops once it
-    reaches the best so far, and the scan stops at 0.  A deadline is
-    checked after every 1024 anchors, so one-anchor values always finish."""
+    reaches the best so far, and the scan stops at 0."""
     outside = obj.outside
     best, best_a = len(masks) + 1, None
-    for i, a in enumerate(obj.anchors(inst)):
-        if deadline is not None and i and not i & 1023:
-            _check_deadline(deadline)
+    for a in obj.anchors(inst):
         v = 0
         for m in masks:
             if outside(inst, a, m):
@@ -116,9 +112,18 @@ def _min_outside(obj: Objective, inst: _Instance, masks: Sequence[int],
     return best, best_a
 
 
+def _first_count(obj: Objective, inst: _Instance, masks: Sequence[int]) -> int:
+    """The members outside the first anchor's family: an initial complex's value."""
+    outside, a = obj.outside, next(iter(obj.anchors(inst)))
+    return sum(outside(inst, a, m) for m in masks)
+
+
 def _of(name: str, fam: SetFamily, u: int) -> tuple[int, int | None]:
-    """`_min_outside` of the objective `name` on fam at union bound u."""
-    return _min_outside(OBJECTIVES[name], _Instance(fam.n, u, ()), fam.members)
+    """`_min_outside` of the objective `name` on fam at union bound u, n <= max_n."""
+    obj = OBJECTIVES[name]
+    if fam.n > obj.max_n:
+        raise CapExceeded(f"{name} needs n <= {obj.max_n}, got {fam.n}")
+    return _min_outside(obj, _Instance(fam.n, u, ()), fam.members)
 
 
 def overflow_even_of(fam: SetFamily, d: int) -> int:
@@ -142,9 +147,6 @@ def diametral_overflow(fam: SetFamily, u: int) -> tuple[int, int]:
     with the colex-smallest minimizing center (as a mask)."""
     if u < 1:
         raise ValueError(f"need u >= 1, got {u}")
-    if fam.n > DIAMETRAL_CENTER_CAP:
-        raise CapExceeded(
-            f"center enumeration needs n <= {DIAMETRAL_CENTER_CAP}, got {fam.n}")
     return _of("diametral_overflow", fam, u)
 
 
@@ -159,8 +161,8 @@ def katona_overflow_of(fam: SetFamily, u: int) -> int:
     """
     if u < 1:
         raise ValueError(f"need u >= 1, got {u}")
-    outside, inst = OBJECTIVES["diametral_overflow"].outside, _Instance(fam.n, u, ())
-    return sum(outside(inst, 0, m) for m in fam.members)
+    return _first_count(OBJECTIVES["diametral_overflow"], _Instance(fam.n, u, ()),
+                        fam.members)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,8 @@ class Objective:
     decreases when members are added, which both engines rely on.  On the
     initial complexes that the layered engine searches it is the count at
     the first anchor (x = 1 by the shift x -> 1, the empty center by the
-    down-shifts), which that engine bounds and values its leaves with.
+    down-shifts), which that engine bounds and values its leaves with, and
+    `_Incumbent` its `seeds`: ladder rungs (`_rungs`) or `triangle`.
     `sizes` are the member sizes the exhaustive engine enumerates: members
     of other sizes are infeasible or cannot raise the value, and every set
     of these sizes is self-compatible.  `roots` gives, ascending, the pool
@@ -265,8 +268,9 @@ class Objective:
     max_n: int = ALGEBRAIC_CAP         # the evaluator's; `maximize` caps at SEARCH_CAP
 
 
-def _katona_seeds(i: _Instance) -> list[SetFamily]:
-    return [cons.katona(i.n, i.u)]
+def _rungs(*ss: int) -> Callable[[_Instance], list[SetFamily]]:
+    """Seeds: the rungs `constructions._near_katona(n, u, s)` of the listed s <= d."""
+    return lambda i: [cons._near_katona(i.n, i.u, s) for s in ss if s <= i.d]
 
 
 def _points(i: _Instance) -> list[int]:
@@ -293,29 +297,28 @@ OBJECTIVES: dict[str, Objective] = {
     "max_union_size": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         sizes=lambda i: range(i.u + 1),
-        seeds=_katona_seeds, outside=lambda i, a, m: True, roots=_size_roots),
+        seeds=_rungs(0), outside=lambda i, a, m: True, roots=_size_roots),
     "max_diameter_size": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=True,
         sizes=lambda i: range(i.n + 1),
-        seeds=_katona_seeds, outside=lambda i, a, m: True, roots=_empty_root),
+        seeds=_rungs(0), outside=lambda i, a, m: True, roots=_empty_root),
     "overflow_even": Objective(
         ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
         sizes=lambda i: range(i.d + 1, i.u + 1),
-        seeds=lambda i: [cons.b_family(i.n, i.d)]
-        + ([cons.d_even(i.n, i.d)] if i.d >= 2 else []),
+        seeds=_rungs(1, 2),
         outside=lambda i, a, m: m.bit_count() > i.d, roots=_size_roots),
     # |M \ {x}| > d: members above size d + 1 count for every x
     "overflow_odd": Objective(
         ("n", "d"), _overflow_instance(1), _UNION, shift_invariant=False,
         sizes=lambda i: range(i.d + 1, i.u + 1),
-        seeds=lambda i: [cons.g_family(i.n, i.d)],
+        seeds=_rungs(1),
         anchors=_points, outside=lambda i, a, m: (m & ~a).bit_count() > i.d,
         roots=_size_roots),
     "upper_layers": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         # size >= r, where u = 2r or 2r - 1: that is 2 size >= u
         sizes=lambda i: range((i.u + 1) // 2, i.u + 1),
-        seeds=_katona_seeds, outside=lambda i, a, m: 2 * m.bit_count() >= i.u,
+        seeds=_rungs(0), outside=lambda i, a, m: 2 * m.bit_count() >= i.u,
         roots=_size_roots),
     # min-anchor avoidance: the members avoiding x
     "diversity": Objective(
@@ -330,11 +333,10 @@ OBJECTIVES: dict[str, Objective] = {
     "diametral_overflow": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=False,
         sizes=lambda i: range(i.n + 1),
-        seeds=lambda i: ([cons.b_family(i.n, i.d)] if i.u % 2 == 0 else
-                         [cons.g_family(i.n, i.d)] if i.d >= 1 else []),
+        seeds=_rungs(1),
         anchors=lambda i: range(0, 1 << i.n, 1 + i.u % 2),
         outside=lambda i, a, m: ((m ^ a) & ~(i.u % 2)).bit_count() > i.d,
-        max_n=DIAMETRAL_CENTER_CAP, roots=_empty_root),
+        max_n=20, roots=_empty_root),   # the evaluator enumerates 2^n centers
 }
 
 
@@ -348,13 +350,13 @@ def _check_params(obj: Objective, params: dict) -> None:
     if set(params) != set(obj.params):
         raise ValueError(f"need the parameters {', '.join(obj.params)}, "
                          f"got {', '.join(map(str, params)) or 'none'}")
+    for p in obj.params:
+        if type(params[p]) is not int:     # not even a bool
+            raise ValueError(f"parameter {p} must be an integer, got {params[p]!r}")
 
 
 def _instance(obj: Objective, params: dict) -> _Instance:
     _check_params(obj, params)
-    for p in obj.params:
-        if type(params[p]) is not int:     # not even a bool
-            raise ValueError(f"parameter {p} must be an integer, got {params[p]!r}")
     n, *rest = (params[p] for p in obj.params)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -424,9 +426,8 @@ class SearchCertificate:
             raise ValueError("a certificate must be a JSON object")
         objective = _objective(obj["objective"])
         params = obj["params"]
-        if not isinstance(params, dict) or any(
-                type(v) is not int for v in params.values()):
-            raise ValueError(f"params must map names to integers, got {params!r}")
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be an object, got {params!r}")
         _check_params(objective, params)
         optimum = obj["optimum"]
         if isinstance(optimum, str) and re.fullmatch(r"-?[0-9]+", optimum):
@@ -476,22 +477,17 @@ def _check_deadline(deadline: float | None) -> None:
 class _Incumbent:
     """The best family found so far.
 
-    It starts at the best feasible seed construction valued in full by the
-    deadline; the empty family, feasible for every objective and of value
-    0, is the seed of last resort.  The seed stays the result when no
-    searched family reaches its value.  Among the searched families of the
-    best value, `count` counts them and the witness is the one with the
-    smallest canonical key (bit_count, mask).
+    It starts at the best seed, an initial complex (`Objective`) valued by
+    its count at the first anchor; the empty family, feasible for every
+    objective and of value 0, is the seed of last resort.  The seed stays
+    the result when no searched family reaches its value.  Among the
+    searched families of the best value, `count` counts them and the
+    witness is the one with the smallest canonical key (bit_count, mask).
     """
 
-    def __init__(self, obj: Objective, inst: _Instance, deadline: float | None):
-        seeds = [fam for fam in obj.seeds(inst) if obj.relation.holds(inst, fam)]
-        values = []
-        with suppress(_TimeUp):
-            for fam in seeds:
-                values.append(_min_outside(obj, inst, fam.members, deadline)[0])
-        seeds = seeds[:len(values)] + [SetFamily(inst.n, ())]
-        values.append(0)
+    def __init__(self, obj: Objective, inst: _Instance):
+        seeds = obj.seeds(inst) + [SetFamily(inst.n, ())]
+        values = [_first_count(obj, inst, fam.members) for fam in seeds]
         self.value = max(values)
         self.masks = seeds[values.index(self.value)].members   # first seed on ties
         self.key = None                # the witness's key, once a family is searched
@@ -982,7 +978,7 @@ def maximize(objective: str, params: dict,
     # each engine refuses too many candidates before the seeds are built
     if restricted:
         engine = _LayeredDFS(obj, inst, options.use_pruning)
-        incumbent = _Incumbent(obj, inst, deadline)
+        incumbent = _Incumbent(obj, inst)
         nodes, timed_out = engine.run(incumbent, deadline)
         # no count when the search stopped early or only the seed reached
         # the optimum
@@ -991,7 +987,7 @@ def maximize(objective: str, params: dict,
         reduction = obj.relation.reduction
     else:
         pool, out, adj = _pool(obj, inst)
-        incumbent = _Incumbent(obj, inst, deadline)
+        incumbent = _Incumbent(obj, inst)
         roots = obj.roots(pool) if options.use_pruning else range(len(pool))
         nodes, timed_out = _exhaustive(pool, adj, out, roots, incumbent,
                                        deadline, options.use_pruning)

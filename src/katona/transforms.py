@@ -4,7 +4,7 @@ The public operators are pure: each takes a SetFamily and returns a new one.
 Inside, a family is a set of masks, changed in place: `_OPS`, the one table
 of op kinds, gives each its arguments and a step that validates them and
 applies the op, so an op sequence is canonicalised once; `_sweep`, the one
-fixpoint driver, repeats kernels in a fixed order until a test shows that
+fixpoint driver, repeats `_shift` ops in a fixed order until a test shows that
 no op can move a member.  No down-shift moves a member of a family exactly
 when it is a complex (`core._down_closed`), and no i<-j shift exactly when
 it is closed under the elementary moves j -> j-1: by induction on j - i, a
@@ -143,7 +143,7 @@ def _closed(present: set[int]) -> bool:
 
 
 def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled) -> ShiftLog:
-    """Apply the ops of `groups`, each a (log entry, kernel, kernel bits), in
+    """Apply the ops of `groups`, each a (log entry, bi, bj) for `_shift`, in
     order to every set, sweep after sweep, until a sweep changes none of
     them.  The log records each op that moved a member of some set, and
     `passes` counts the sweeps: one more than those that moved a member.
@@ -162,9 +162,9 @@ def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled) -> ShiftLog
         start = len(log)
         for group in groups:
             before = len(log)
-            for entry, kernel, bits in group:
+            for entry, bi, bj in group:
                 # a list, not a generator, so that every set is shifted
-                if any([kernel(present, *bits) for present in sets]):
+                if any([_shift(present, bi, bj) for present in sets]):
                     log.append(entry)
             if len(log) > before and all(map(settled, sets)):
                 return ShiftLog(tuple(log), passes + 1)
@@ -176,7 +176,7 @@ def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled) -> ShiftLog
 def _shifts(n: int) -> list[list[tuple]]:
     """The i<-j shifts on [n] in lexicographic (i, j) order, as sweep ops
     grouped by i."""
-    return [[(("shift", i, j), _shift, (1 << (i - 1), 1 << (j - 1)))
+    return [[(("shift", i, j), 1 << (i - 1), 1 << (j - 1))
              for j in range(i + 1, n + 1)] for i in range(1, n)]
 
 
@@ -217,7 +217,7 @@ def is_initial(fam: SetFamily) -> bool:
 
 def _downshift_fixpoint(fam: SetFamily) -> tuple[SetFamily, ShiftLog]:
     present = set(fam.members)
-    log = _sweep([present], [[(("downshift", i), _shift, (0, 1 << (i - 1)))
+    log = _sweep([present], [[(("downshift", i), 0, 1 << (i - 1))
                               for i in range(1, fam.n + 1)]], _down_closed)
     return SetFamily.from_masks(fam.n, present), log
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 
+from .bounds import binom
 from .core import SetFamily, CapExceeded
 
 BRUTE_STEP_CAP = 20
@@ -82,9 +82,10 @@ def reflection_count(n: int, k: int, t: int, a: int, b: int) -> int:
 
     Reflecting (a, b) across the line gives (b - t, a + t); walks from there
     to the endpoint biject with the touching walks.  Negative t is allowed.
+    The count is `bounds.binom`, so its n is capped at `BINOM_CAP`.
     """
     _check_reflection_hypotheses(n, k, t, a, b)
-    return comb(n - a - b, k - a - t)
+    return binom(n - a - b, k - a - t)
 
 
 @lru_cache(maxsize=None)

@@ -85,6 +85,7 @@ def test_walk_bounds():
     (diversity_formula, (2, 3), "n=2, k=3"),
     (walk_skip_bound, (1, 5, 4), "n=1, k=5, p=4"),
     (layer_bound_refined, (0, 1, 0), "n=0, t=1, ell=0"),
+    (walk_gap_bound, (3, 3, 0), "n=3, k=3, p=0"),
 ])
 def test_bounds_refuse_parameters_outside_their_statement(bound, args, shown):
     # each names the caller's values, not those of an inner binomial

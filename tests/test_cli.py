@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from io import StringIO
@@ -283,6 +284,39 @@ def test_usage_and_cap_exit_codes(capsys, tmp_path):
               "--k", str(5 * 10 ** 19)], "must not exceed")):
         assert run(argv) == 2, argv
         assert message in capsys.readouterr().err
+
+
+def test_huge_integer_flags_exit_2_at_once(capsys):
+    # every bound computes through `bounds.binom`, and `walks count` through
+    # `reflection_count`: both cap n, so a huge flag is refused, not computed
+    big, half = str(10 ** 20), str(5 * 10 ** 16)
+    argvs = [["bound", "--name", "hm", "--n", big, "--k", half],
+             ["bound", "--name", "binom", "--n", str(10 ** 7), "--k", str(5 * 10 ** 6)],
+             ["bound", "--name", "binom", "--n", str(10 ** 6), "--k", str(5 * 10 ** 5)],
+             ["bound", "--name", "katona", "--n", str(10 ** 11), "--u", str(5 * 10 ** 10)],
+             ["bound", "--name", "layer-refined", "--n", big, "--t", half, "--ell", half],
+             ["bound", "--name", "walk-skip", "--n", big, "--k", half, "--p", "2"],
+             ["bound", "--name", "d-even-overflow", "--n", big, "--d", half],
+             ["bound", "--name", "diversity", "--n", big, "--k", half],
+             ["walks", "--mode", "count", "--n", big, "--k", half, "--t", "1"]]
+    for argv in argvs:
+        t0 = time.monotonic()
+        assert run(argv) == 2, argv
+        assert time.monotonic() - t0 < 2, argv
+        assert "must not exceed 4096" in capsys.readouterr().err, argv
+    # the cap leaves every bound under a second
+    assert run(["bound", "--name", "katona", "--n", "4096", "--u", "4095"]) == 0
+    capsys.readouterr()
+
+
+def test_walk_gap_staircase_must_fit(capsys):
+    # the staircase (1..p, p+2, ..., 2k-p) lies in [n], or the bound does
+    # not apply; the message names the bound's own parameters
+    for n in ("3", "-1"):
+        assert run(["bound", "--name", "walk-gap", "--n", n, "--k", "3", "--p", "0"]) == 2
+        assert f"2k - p <= n, got n={n}, k=3, p=0" in capsys.readouterr().err
+    assert run(["bound", "--name", "walk-gap", "--n", "6", "--k", "3", "--p", "0"]) == 0
+    capsys.readouterr()
 
 
 def test_stdin_stdout_paths(capsys, monkeypatch, tmp_path):

@@ -236,11 +236,6 @@ def _instances(max_n):
                     continue
 
 
-def _first_anchor_count(obj, inst, masks):
-    a = next(iter(obj.anchors(inst)))
-    return sum(obj.outside(inst, a, m) for m in masks)
-
-
 def test_first_anchor_minimizes_on_initial_complexes():
     # the layered engine values a leaf, an initial complex, by its count at
     # the first anchor (x = 1, or the empty center): shifting x -> 1 shows
@@ -263,9 +258,35 @@ def test_first_anchor_minimizes_on_initial_complexes():
                 assert is_complex(fam)
             assert is_initial(fam) and obj.relation.holds(inst, fam), (name, fam)
             assert (search._min_outside(obj, inst, fam.members)[0]
-                    == _first_anchor_count(obj, inst, fam.members)), (name, fam)
+                    == search._first_count(obj, inst, fam.members)), (name, fam)
             families += 1
     assert families > 1000
+
+
+def test_seeds_are_initial_rungs_valued_at_their_first_anchor():
+    # `_Incumbent` values each seed at the first anchor and never checks its
+    # feasibility: every seed is a feasible initial complex (an initial
+    # intersecting k-family for diversity), where that count is the minimum
+    seeds = 0
+    for name, obj, _, inst in _instances(12):
+        for fam in obj.seeds(inst):
+            assert obj.relation.holds(inst, fam) and is_initial(fam), (name, inst)
+            assert inst.u is None or is_complex(fam), (name, inst)
+            assert (search._min_outside(obj, inst, fam.members)[0]
+                    == search._first_count(obj, inst, fam.members)), (name, inst)
+            seeds += 1
+    assert seeds > 300
+    # the rungs are the named constructions
+    seeds_of = lambda name, **params: search.OBJECTIVES[name].seeds(
+        search._instance(search.OBJECTIVES[name], params))
+    assert seeds_of("max_union_size", n=9, u=5) == [katona(9, 5)]
+    assert seeds_of("overflow_even", n=10, d=3) == [b_family(10, 3), d_even(10, 3)]
+    assert seeds_of("overflow_even", n=6, d=1) == [b_family(6, 1)]
+    assert seeds_of("overflow_odd", n=9, d=2) == [g_family(9, 2)]
+    assert seeds_of("diametral_overflow", n=8, u=4) == [b_family(8, 2)]
+    assert seeds_of("diametral_overflow", n=8, u=5) == [g_family(8, 2)]
+    assert seeds_of("diametral_overflow", n=8, u=1) == []
+    assert seeds_of("diversity", n=9, k=3) == [triangle(9, 3)]
 
 
 def test_needs_are_predecessors_and_one_shadow_member():
@@ -754,14 +775,15 @@ def test_deadline_stops_the_search_mid_tree():
     assert recheck(cert)
 
 
-def test_deadline_bounds_the_seed_valuation():
-    # valuing the b_family seed over 2^19 centers takes seconds; the deadline
-    # drops it and the empty family (value 0) remains
+def test_seed_valuation_reads_one_center():
+    # the b_family seed, an initial complex, is valued at the empty center,
+    # not over 2^18 centers, so the whole search takes milliseconds
     t0 = time.monotonic()
-    cert = maximize("diametral_overflow", {"n": 20, "u": 4},
-                    SearchOptions(time_limit=0.2, restrict_to_initial_complexes=True))
-    assert time.monotonic() - t0 < 1
-    assert cert.timed_out and not cert.proven_optimal
+    cert = maximize("diametral_overflow", {"n": 18, "u": 4},
+                    SearchOptions(restrict_to_initial_complexes=True))
+    assert time.monotonic() - t0 < 0.5
+    assert (cert.optimum, cert.nodes_explored, cert.maximizers) == (16, 36, 1)
+    assert not cert.timed_out and not cert.proven_optimal
     assert recheck(cert)
 
 
