@@ -69,7 +69,11 @@ def _ground(n: int) -> int:
 # subcommand handlers
 
 def _fraction(text: str) -> Fraction:
-    """A rational like 11/10; a zero denominator is bad input, not a crash."""
+    """A rational like 11/10 or 1.1; a zero denominator, or an exponent of
+    over 4 digits (Fraction builds 10 to its power), is bad input."""
+    exp = text.lower().partition("e")[2].lstrip("+-0_").replace("_", "")
+    if len(exp.strip()) > 4:
+        raise ValueError(f"{text!r} has a decimal exponent of over 4 digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -79,6 +83,14 @@ def _fraction(text: str) -> Fraction:
 # flags whose text names a family file or a fraction, or lists elements
 _FLAG_READERS = {"input": _read_family, "input2": _read_family, "c": _fraction,
                  "center": _elements, "set": lambda text: mask_of(_elements(text))}
+
+
+def _binom_n(n: int) -> int:
+    """An --n of an exact count: no binomial of a bound or a closed-form
+    walk count has a larger n, so the cap is checked here, naming the flag."""
+    if n > bounds.BINOM_CAP:
+        raise ValueError(f"--n {n} must not exceed {bounds.BINOM_CAP}")
+    return n
 
 
 def _flags(args, names, what: str) -> list:
@@ -145,8 +157,8 @@ def _cmd_overflow(args) -> dict:
 
 # walks mode -> (function of the flags giving the output, flags in call order)
 _WALKS = {
-    "count": (lambda brute, *nktab: {"count": str(
-        (brute_hit_count if brute else reflection_count)(*nktab))},
+    "count": (lambda brute, n, *ktab: {"count": str(
+        brute_hit_count(n, *ktab) if brute else reflection_count(_binom_n(n), *ktab))},
         ("brute", "n", "k", "t", "a", "b")),
     "trace": (lambda mask, n: {"points": [
         list(p) for p in walk_of_set(mask, _ground(n)).points]}, ("set", "n")),
@@ -184,7 +196,8 @@ _BOUNDS = {
 
 def _cmd_bound(args) -> dict:
     fn, names = _BOUNDS[args.name]
-    out = fn(*_flags(args, names, f"bound {args.name}"))
+    values = _flags(args, names, f"bound {args.name}")
+    out = fn(*(_binom_n(v) if name == "n" else v for name, v in zip(names, values)))
     if isinstance(out, bounds.BoundReport):
         return out.to_json_dict()
     # integer bounds are exact counts, emitted as decimal strings; the

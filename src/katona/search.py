@@ -5,13 +5,15 @@ Each objective is defined in one place: its `Objective` record in
 required flags), the pairwise relation its families satisfy (one threshold
 `meet` on |A & B|), whether it is shift-invariant, the member sizes it
 counts, its seed constructions and its value.  `maximize`, `recheck`, both
-engines and the CLI read the records and nothing else.  Every value is a
-minimum over anchors a of the members outside a's extremal family (one
-anchor for the counting objectives, an element x for odd overflow and
-diversity, a ball center for diametral overflow).  One evaluator,
-`_min_outside`, computes it on mask lists for `recheck` and the public
-evaluators; the seeds, initial families like the layered leaves, and
-`katona_overflow_of` take one count at the first anchor (`_first_count`).
+engines and the CLI read the records and nothing else.  Every instance is
+u-union: an intersecting k-family, the `diversity` instance, is
+(2k - 1)-union.  Every value is a minimum over anchors a of the members
+outside a's extremal family (one anchor for the counting objectives, an
+element x for odd overflow and diversity, a ball center for diametral
+overflow).  One evaluator, `_min_outside`, computes it on mask lists for
+`recheck` and the public evaluators; the seeds, initial families like the
+layered leaves, and `katona_overflow_of` take one count at the first
+anchor (`_first_count`).
 
 Two engines back `maximize`:
 
@@ -21,45 +23,21 @@ Two engines back `maximize`:
   and its result is proven optimal.  A family is encoded by its layers
   above u/2 (anything of size <= u/2 is pairwise compatible and can be
   completed greedily); each layer is a down-set of the coordinatewise
-  order whose shadow lies in the layer below.  Pruning uses only the
-  closed-form layer caps and the gap/skip walk bounds, so disabling
-  pruning never changes the optimum.
-
-  The kernel, `_LayeredDFS`, works on int bitsets over one index space:
-  the candidates by level and then in `combinations` order, the free sets
-  after them.  It branches on the lowest ready candidate compatible with
-  the included members, runs on an explicit stack with one frame per
-  included member, and values a leaf, an initial complex, by its count at
-  the first anchor, the least over the anchors there.  Its bound reads
-  one level, the current position's: the included members, what that
-  level can still add, and the initial caps of the levels after it.  A
-  finished level's count never exceeds its layer and walk caps.
-  `run` returns its node count and whether the deadline stopped it.
+  order whose shadow lies in the layer below.  The kernel, `_LayeredDFS`,
+  runs the union rule for every objective, on int bitsets, and values a
+  leaf, an initial complex, by its count at the first anchor.  Pruning
+  uses only the closed-form layer caps and the gap/skip walk bounds, so
+  disabling pruning never changes the optimum.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
-  graph, whose rows the same counter builds).  Every value, a minimum of
+  graph, under the relation's own `meet`).  Every value, a minimum of
   member counts, is monotone under adding members, so the maximum over
   maximal families is the global maximum.  This is the independent oracle
   for the restricted engine and the only proven route for objectives not
-  known to be shift-invariant.  With one pool bitset `out[a]` per anchor, a
-  family R has the value min_a |R & out[a]|.  It is a branch and bound with
-  two bounds on a node (R, P, X), tested before the node is entered.  The
-  anchor bound: by monotonicity, no family below can reach the incumbent
-  when min_a |(R | P) & out[a]| is below it.  The witness bound: the pool is
-  in canonical key order, so when that minimum equals the incumbent (only
-  ties remain) and the lowest pool index where R | P and the witness W
-  differ lies in W, every maximal family below has a larger key than W.
-  Only ties with smaller keys are valued, so `nodes` falls toward 1 when the
-  seed is already optimal.  The pruned search also starts only at the pool
-  indices that the objective's `roots` field yields: those of the set [s]
-  of each pool size when the relation and the value are invariant under
-  permutations of [n], that of the empty set when they are invariant under
-  translations M -> M ^ T.  By the root lemma in `_exhaustive`, the
-  witness, the optimal maximal family with the smallest key, starts at a
-  root, so only families whose smallest member is a root are enumerated;
-  pruned `nodes` can differ from a full enumeration's, the optimum and
-  witness cannot.
+  known to be shift-invariant.  Its anchor and witness bounds, and the
+  roots it starts at, are justified in `_exhaustive`; pruned `nodes` can
+  differ from a full enumeration's, the optimum and witness cannot.
 
 Certificates carry one witness (smallest canonical encoding among the
 maximizers found), the exact optimum, and enough metadata to be re-checked
@@ -170,26 +148,25 @@ def katona_overflow_of(fam: SetFamily, u: int) -> int:
 
 @dataclass(frozen=True)
 class _Instance:
-    """A validated objective instance, as both engines and recheck see it."""
+    """A validated objective instance, as both engines and recheck see it:
+    u-union (intersecting k-families are (2k - 1)-union, as |A | B| =
+    2k - |A & B|), with the constrained `levels` above u/2 and the
+    `free_levels`, pairwise u-union, at or below it."""
 
     n: int
-    u: int | None                      # None only for intersecting families
+    u: int
     levels: tuple[int, ...]            # the layered engine's constrained levels
-    d: int | None = field(init=False)  # u // 2, a field: evaluators read it per member
+    free_levels: tuple[int, ...] = ()
+    d: int = field(init=False)         # u // 2, a field: evaluators read it per member
 
     def __post_init__(self):
-        object.__setattr__(self, "d", None if self.u is None else self.u // 2)
-
-    @property
-    def free_levels(self) -> tuple[int, ...]:
-        """Levels below the constrained ones, completed greedily at a leaf."""
-        return () if self.u is None else tuple(range(self.levels[0]))
+        object.__setattr__(self, "d", self.u // 2)
 
 
 def _union_instance(n: int, u: int) -> _Instance:
     if not 0 < u < n:
         raise ValueError(f"need 0 < u < n, got u={u}, n={n}")
-    return _Instance(n, u, tuple(range(u // 2 + 1, u + 1)))
+    return _Instance(n, u, tuple(range(u // 2 + 1, u + 1)), tuple(range(u // 2 + 1)))
 
 
 def _overflow_instance(parity: int) -> Callable[[int, int], _Instance]:
@@ -204,20 +181,20 @@ def _overflow_instance(parity: int) -> Callable[[int, int], _Instance]:
 def _intersecting_instance(n: int, k: int) -> _Instance:
     if k < 1 or n <= 2 * k:
         raise ValueError(f"need k >= 1 and n > 2k, got n={n}, k={k}")
-    return _Instance(n, None, (k,))
+    return _Instance(n, 2 * k - 1, (k,))
 
 
 @dataclass(frozen=True)
 class _Relation:
     """What every pair of members of a feasible family satisfies, as one
     threshold: sets of sizes k and s are compatible exactly when they share
-    at least meet(u, k, s) elements.  `_incompat_rows` builds both engines'
-    incompatibility bitsets from it."""
+    at least meet(u, k, s) elements.  `meet` is the exhaustive engine's
+    rule; the layered engine, whose families are all u-union, runs
+    `_UNION.meet`.  `_incompat_rows` builds the bitsets from a rule."""
 
-    meet: Callable[[int | None, int, int], int]      # u, k and s
+    meet: Callable[[int, int, int], int]             # u, k and s
     holds: Callable[[_Instance, SetFamily], bool]    # via core, for recheck
     reduction: str                     # the families the layered engine covers
-    reduction_meet: Callable | None = None   # its rule there, if not `meet`
 
 
 # |A | B| = k + s - |A & B| <= u
@@ -225,13 +202,13 @@ _UNION = _Relation(
     lambda u, k, s: k + s - u,
     lambda i, fam: is_u_union(fam, i.u), "initial_complex")
 # |A ^ B| = k + s - 2 |A & B| <= u.  A complex has diameter <= u exactly
-# when it is u-union, so the layered engine searches down-shift complexes
-# with the union rule.
+# when it is u-union, so the layered engine searches down-shift complexes.
 _DIAMETER = _Relation(
     lambda u, k, s: -((u - k - s) // 2),
-    lambda i, fam: is_diameter_at_most(fam, i.u), "downshift_complex", _UNION.meet)
+    lambda i, fam: is_diameter_at_most(fam, i.u), "downshift_complex")
+# k-sets with u = 2k - 1: compatible exactly when they meet
 _INTERSECT = _Relation(
-    lambda u, k, s: 1,
+    _UNION.meet,
     lambda i, fam: (all(m.bit_count() == i.levels[0] for m in fam.members)
                     and is_t_intersecting(fam, 1)),
     "initial_complex")
@@ -249,21 +226,21 @@ class Objective:
     the first anchor (x = 1 by the shift x -> 1, the empty center by the
     down-shifts), which that engine bounds and values its leaves with, and
     `_Incumbent` its `seeds`: ladder rungs (`_rungs`) or `triangle`.
-    `sizes` are the member sizes the exhaustive engine enumerates: members
-    of other sizes are infeasible or cannot raise the value, and every set
-    of these sizes is self-compatible.  `roots` gives, ascending, the pool
-    indices the pruned exhaustive engine starts at (the root lemma in
-    `_exhaustive`).
+    `sizes` are the member sizes the exhaustive engine enumerates, by
+    default the instance's `levels`: members of other sizes are infeasible
+    or cannot raise the value, and every set of these sizes is
+    self-compatible.  `roots` gives, ascending, the pool indices the pruned
+    exhaustive engine starts at (the root lemma in `_exhaustive`).
     """
 
     params: tuple[str, ...]            # in the order `instance` takes them
     instance: Callable[[int, int], _Instance]   # validates the parameters
     relation: _Relation
     shift_invariant: bool              # initial complexes are lossless; the default
-    sizes: Callable[[_Instance], range | tuple[int, ...]]
     seeds: Callable[[_Instance], list[SetFamily]]
     outside: Callable[[_Instance, int, int], bool]   # instance, anchor, member
     roots: Callable[[Sequence[int]], Iterable[int]]  # pool -> ascending indices
+    sizes: Callable[[_Instance], Sequence[int]] = lambda i: i.levels
     anchors: Callable[[_Instance], Iterable[int]] = lambda i: (0,)   # one by default
     max_n: int = ALGEBRAIC_CAP         # the evaluator's; `maximize` caps at SEARCH_CAP
 
@@ -304,13 +281,11 @@ OBJECTIVES: dict[str, Objective] = {
         seeds=_rungs(0), outside=lambda i, a, m: True, roots=_empty_root),
     "overflow_even": Objective(
         ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
-        sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=_rungs(1, 2),
         outside=lambda i, a, m: m.bit_count() > i.d, roots=_size_roots),
     # |M \ {x}| > d: members above size d + 1 count for every x
     "overflow_odd": Objective(
         ("n", "d"), _overflow_instance(1), _UNION, shift_invariant=False,
-        sizes=lambda i: range(i.d + 1, i.u + 1),
         seeds=_rungs(1),
         anchors=_points, outside=lambda i, a, m: (m & ~a).bit_count() > i.d,
         roots=_size_roots),
@@ -323,7 +298,6 @@ OBJECTIVES: dict[str, Objective] = {
     # min-anchor avoidance: the members avoiding x
     "diversity": Objective(
         ("n", "k"), _intersecting_instance, _INTERSECT, shift_invariant=False,
-        sizes=lambda i: i.levels,
         seeds=lambda i: [cons.triangle(i.n, i.levels[0])],
         anchors=_points, outside=lambda i, a, m: not m & a, roots=_size_roots),
     # members outside the ball (even u) or double ball (odd u) of radius d
@@ -613,7 +587,8 @@ class _LayeredDFS:
     `counted_candidates`; the bound counts every candidate.  `has[x]` is
     the bitset of the sets that contain element x, and `incompat[j]` the
     sets incompatible with candidate j, counted by `_incompat_rows` under
-    the relation's rule for the reduction on j's first inclusion.
+    the union rule `_UNION.meet` on j's first inclusion: every family the
+    engine covers is u-union (`_Instance`).
     `blocked` is the OR of `incompat` over the included members, so a set
     is compatible with all of them exactly when its bit is clear.
 
@@ -626,9 +601,10 @@ class _LayeredDFS:
 
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
-    way the child starts at j + 1.  The special (gap/skip) candidates in
-    [pos, j), read from the prefix count `nspec`, and an excluded special j
-    lower their layer caps.  With li pos's level, the bound is
+    way the child starts at j + 1.  The special (gap/skip) candidates of
+    j's level in [pos, j), read from the prefix count `nspec`, and an
+    excluded special j lower that level's cap; no bound below j reads
+    another level's, and a leaf reads none.  With li pos's level, the bound is
     b(pos) = alive_n + len(stack) + min(caps[li] - counts[li], ends[li] - pos)
     + tail[li]: the counted free sets outside `blocked`, the included
     members, what pos's level can still add, and `tail`, the initial caps
@@ -668,8 +644,6 @@ class _LayeredDFS:
         self.counted = 0                   # free sets counted at the first anchor
         self.counted_candidates = 0        # and the candidates counted there
         level_bits: dict[int, int] = {}    # size -> the level's bitset
-        rel = obj.relation
-        meet = rel.reduction_meet or rel.meet
         outside, a0 = obj.outside, next(iter(obj.anchors(inst)))
         for li, k in enumerate(inst.levels + inst.free_levels):
             start = len(self.masks)
@@ -683,9 +657,8 @@ class _LayeredDFS:
                 self.counted |= out << start
                 continue
             self.counted_candidates |= out << start
-            # layer k is meet(u, k, k)-intersecting: (2(k - d) - h) for
-            # u = 2d + h, 1 for intersecting families
-            self.caps0.append(min(comb(n, k), comb(n, k - meet(inst.u, k, k))))
+            # layer k is t-intersecting, t = 2k - u (`prune`)
+            self.caps0.append(min(comb(n, k), comb(n, inst.u - k)))
             # the immediate predecessors, plus one shadow member above the lowest level
             self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + (li > 0)
                               for m in level]
@@ -699,7 +672,7 @@ class _LayeredDFS:
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
-        self.incompat_row = _incompat_rows(meet, inst.u, self.has, level_bits)
+        self.incompat_row = _incompat_rows(_UNION.meet, inst.u, self.has, level_bits)
 
     def _deps(self, j: int) -> list[int]:
         """Build deps[j], the candidates that need candidate j: its immediate
@@ -721,12 +694,11 @@ class _LayeredDFS:
         deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
         counted, use_pruning, ends = self.counted, self.use_pruning, self.ends
         counted_candidates = self.counted_candidates
-        # the gap/skip candidates ascending, and nspec[p] of them below index p
-        special_lc = tuple((level_of[p], special_cap[p]) for p in sorted(special_cap))
-        nspec = [0] * (N + 1)
-        for p in special_cap:
-            nspec[p + 1] = 1
-        nspec = list(accumulate(nspec))
+        # the gap/skip caps ascending by index, nspec[p] of them below index
+        # p, and first[j] of them below j's level (none for j = N)
+        spec_caps = [special_cap[p] for p in sorted(special_cap)]
+        nspec = list(accumulate((p in special_cap for p in range(N)), initial=0))
+        first = [nspec[ends[li - 1] if li else 0] for li in level_of] + [nspec[N]]
         # pos's level (N's is the last), and the constant that the levels
         # after a level add: their initial caps, never above their sizes
         level_at = level_of + [len(ends) - 1]
@@ -742,8 +714,8 @@ class _LayeredDFS:
         def prune(pos: int) -> bool:
             """Cut when b(pos) is below the incumbent.  A level before pos's
             adds just its count: its members L, an initial k-family, are
-            t-intersecting, t = meet(u, k, k), and miss each staircase
-            passed, so |L| <= C(n, k - t) (`layer_bound`) and |L| <= each
+            t-intersecting, t = 2k - u, and miss each staircase passed, so
+            |L| <= C(n, k - t) = C(n, u - k) (`layer_bound`) and |L| <= each
             missing staircase's walk cap, that is counts <= caps."""
             if not use_pruning:
                 return False
@@ -761,10 +733,10 @@ class _LayeredDFS:
                 nodes += 1
                 open_ = avail >> pos
                 j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-                for i in range(nspec[pos], nspec[j]):
-                    li, cap = special_lc[i]
-                    if cap < caps[li]:
-                        caps[li] = cap
+                li = level_at[j]
+                for i in range(max(nspec[pos], first[j]), nspec[j]):
+                    if spec_caps[i] < caps[li]:
+                        caps[li] = spec_caps[i]
                 if j == N and len(stack) + alive_n >= incumbent.value:
                     # a leaf: its members (one per frame) and the free sets
                     # outside `blocked`; the incumbent ignores lower values

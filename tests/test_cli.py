@@ -309,6 +309,32 @@ def test_huge_integer_flags_exit_2_at_once(capsys):
     capsys.readouterr()
 
 
+def test_huge_decimal_exponent_exits_2_at_once(capsys):
+    # Fraction would build 10 to the exponent's power, however large
+    for c in ("1e99999999", "1e-99999999"):
+        t0 = time.monotonic()
+        assert run(["bound", "--name", "quintic", "--c", c]) == 2, c
+        assert time.monotonic() - t0 < 2, c
+        assert repr(c) in capsys.readouterr().err, c
+    for c in ("11/10", "1.1"):
+        code, obj = run_json(capsys, ["bound", "--name", "quintic", "--c", c])
+        assert code == 0 and obj["sign"] == 1, c
+
+
+def test_binomial_cap_names_the_flag_n(capsys):
+    # no inner binomial has a larger n than the flag, so the cap names it
+    for argv in (["bound", "--name", "hm", "--n", str(10 ** 20), "--k", str(5 * 10 ** 16)],
+                 ["bound", "--name", "d2r-gap", "--n", "5000", "--r", "10"],
+                 ["walks", "--mode", "count", "--n", "5000", "--k", "3", "--t", "1"]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"--n {argv[argv.index('--n') + 1]} must not exceed 4096" in err, err
+    # the enumeration keeps its own step cap
+    assert run(["walks", "--mode", "count", "--brute", "--n", "5000", "--k", "3",
+                "--t", "1"]) == 3
+    capsys.readouterr()
+
+
 def test_walk_gap_staircase_must_fit(capsys):
     # the staircase (1..p, p+2, ..., 2k-p) lies in [n], or the bound does
     # not apply; the message names the bound's own parameters

@@ -236,6 +236,31 @@ def _instances(max_n):
                     continue
 
 
+def test_every_instance_is_u_union():
+    # an intersecting k-family is (2k - 1)-union, so every instance has an
+    # integer u; the constrained levels lie above u/2 and the free ones at
+    # or below it, and for the union and intersecting objectives the union
+    # rule, which the layered engine runs, decides compatibility on every
+    # pair of its sets exactly as the objective's own relation
+    for name, obj, _, inst in _instances(6):
+        u = inst.u
+        assert type(u) is int, (name, inst)
+        assert all(2 * k > u for k in inst.levels), (name, inst)
+        assert all(2 * k <= u for k in inst.free_levels), (name, inst)
+        if name == "diversity":
+            assert inst.free_levels == (), inst
+        if obj.relation not in (search._UNION, search._INTERSECT):
+            continue
+        pairwise = PAIRWISE[obj.relation]
+        sets = [mask_of(c) for k in inst.levels + inst.free_levels
+                for c in combinations(range(1, inst.n + 1), k)]
+        for a in sets:
+            for b in sets:
+                assert (((a & b).bit_count()
+                         >= search._UNION.meet(u, a.bit_count(), b.bit_count()))
+                        == pairwise(a, b, u)), (name, inst, a, b)
+
+
 def test_first_anchor_minimizes_on_initial_complexes():
     # the layered engine values a leaf, an initial complex, by its count at
     # the first anchor (x = 1, or the empty center): shifting x -> 1 shows
@@ -245,7 +270,7 @@ def test_first_anchor_minimizes_on_initial_complexes():
     for name, obj, _, inst in _instances(8):
         n = inst.n
         for _ in range(10):
-            if inst.u is None:             # k-uniform intersecting
+            if obj.relation is search._INTERSECT:   # k-uniform intersecting
                 k, masks = inst.levels[0], []
                 for _ in range(rng.randrange(1, 16)):
                     m = mask_of(rng.sample(range(1, n + 1), k))
@@ -271,7 +296,7 @@ def test_seeds_are_initial_rungs_valued_at_their_first_anchor():
     for name, obj, _, inst in _instances(12):
         for fam in obj.seeds(inst):
             assert obj.relation.holds(inst, fam) and is_initial(fam), (name, inst)
-            assert inst.u is None or is_complex(fam), (name, inst)
+            assert obj.relation is search._INTERSECT or is_complex(fam), (name, inst)
             assert (search._min_outside(obj, inst, fam.members)[0]
                     == search._first_count(obj, inst, fam.members)), (name, inst)
             seeds += 1
