@@ -26,10 +26,13 @@ from .walks import brute_hit_count, family_walks_hit, reflection_count, walk_of_
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_family(path: str) -> SetFamily:

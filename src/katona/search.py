@@ -398,6 +398,10 @@ class SearchCertificate:
     def from_json_dict(cls, obj: dict) -> "SearchCertificate":
         if not isinstance(obj, dict):
             raise ValueError("a certificate must be a JSON object")
+        for key in ("objective", "params", "optimum", "witness", "proven_optimal",
+                    "reduction", "nodes", "elapsed_ms"):
+            if key not in obj:
+                raise ValueError(f"certificate field {key!r} is missing")
         objective = _objective(obj["objective"])
         params = obj["params"]
         if not isinstance(params, dict):
@@ -537,7 +541,7 @@ def _level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(map(sum, combinations([1 << x for x in range(n)], k))), has(0, k)
 
 
-def _incompat_rows(meet: Callable[[int | None, int, int], int], u: int | None,
+def _incompat_rows(meet: Callable[[int, int, int], int], u: int,
                    has: Sequence[int], spans: dict[int, int]) -> Callable[[int], int]:
     """The incompatibility row of a set m over an index space, the sets c
     with |c & m| below meet(u, |c|, |m|), given the bitsets has[x] of the
@@ -601,29 +605,27 @@ class _LayeredDFS:
 
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
-    way the child starts at j + 1.  The special (gap/skip) candidates of
+    way the child starts at j + 1.  The path keeps the cap of one level,
+    the branch level `cl`, and `count`, its members there; a j in a later
+    level starts that level afresh.  The special (gap/skip) candidates of
     j's level in [pos, j), read from the prefix count `nspec`, and an
-    excluded special j lower that level's cap; no bound below j reads
-    another level's, and a leaf reads none.  With li pos's level, the bound is
-    b(pos) = alive_n + len(stack) + min(caps[li] - counts[li], ends[li] - pos)
-    + tail[li]: the counted free sets outside `blocked`, the included
-    members, what pos's level can still add, and `tail`, the initial caps
-    of the levels after it (they hold no member, and a cap falls only at a
-    special already passed).  A finished level's count is within its cap
-    (`prune`), so b is the sum over levels of min(cap, counts + candidates
-    left from pos) and never rises as pos grows or a cap falls.  One
-    prune(j) after all those caps fall cuts whatever a check at s + 1 after
-    each special s < j would, as b(j) <= b(s + 1); at a leaf (j = N), b(N)
-    is the leaf's own check.  When prune(j) cuts the include child,
-    b(j + 1) <= b(j) cuts the exclude child too.  Including j ORs its
-    incompatibility bitset into `blocked`, adds the candidates it made
-    ready to `avail` and recounts alive_n, once per include.  The stack has
-    one frame per included j: (j, the caps at j's node, and `blocked`,
-    `avail` and alive_n before j); the frames are the only record of the
-    path, and a leaf reads its members from them.  An exclude child shares
-    its parent's frame; unwinding pops a frame, restores the caps and the
-    three values from it, gives back j's `missing` counts and tries j's
-    exclude child.
+    excluded special j lower `cap`; a leaf lowers none.  With li pos's
+    level, b(pos) = alive_n + len(stack) + min(room, ends[li] - pos) +
+    tail[li]: the counted free sets outside `blocked`, the included
+    members, what pos's level can still add (room is cap - count at `cl`,
+    the initial cap after it) and the initial caps of the levels after it
+    (they hold no member and passed no special).  A finished level's count
+    is within its cap (`prune`), so b is the sum over levels of min(cap,
+    count + candidates left from pos), which never rises as pos grows or a
+    cap falls: one prune(j) cuts whatever a check after each special s < j
+    would, a leaf's (j = N) is its own check, and when prune(j) cuts the
+    include child, b(j + 1) <= b(j) cuts the exclude child too.  The stack
+    has one frame per included j: (j, `cap` at j's node, and `count`,
+    `blocked`, `avail` and alive_n before j); the frames are the only
+    record of the path, and a leaf reads its members from them.  An
+    exclude child shares its parent's frame; unwinding pops a frame,
+    restores its values, sets `cl` to j's level, lowers `cap` if j is
+    special, gives back j's `missing` counts and tries j's exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -668,7 +670,6 @@ class _LayeredDFS:
         for k in inst.levels:
             for m, c in _walk_caps(n, k).items():
                 self.special_cap[self.index[m]] = c
-        self.ready0 = _bitset(not c for c in self.missing0)
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
@@ -693,98 +694,93 @@ class _LayeredDFS:
         N, masks, level_of, free = self.N, self.masks, self.level_of, self.free
         deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
         counted, use_pruning, ends = self.counted, self.use_pruning, self.ends
-        counted_candidates = self.counted_candidates
-        # the gap/skip caps ascending by index, nspec[p] of them below index
-        # p, and first[j] of them below j's level (none for j = N)
+        counted_candidates, caps0 = self.counted_candidates, self.caps0
+        # the gap/skip caps ascending by index, nspec[p] of them below index p
         spec_caps = [special_cap[p] for p in sorted(special_cap)]
         nspec = list(accumulate((p in special_cap for p in range(N)), initial=0))
-        first = [nspec[ends[li - 1] if li else 0] for li in level_of] + [nspec[N]]
         # pos's level (N's is the last), and the constant that the levels
         # after a level add: their initial caps, never above their sizes
         level_at = level_of + [len(ends) - 1]
-        tail = [sum(self.caps0[li + 1:]) for li in range(len(ends))]
-        caps = list(self.caps0)
-        counts = [0] * len(caps)           # included members per level
+        tail = [sum(caps0[li + 1:]) for li in range(len(ends))]
+        cl, cap, count = 0, caps0[0], 0    # the branch level, its cap and members
         missing = list(self.missing0)
         blocked = 0                        # sets incompatible with an included member
-        avail = self.ready0                # ready candidates outside `blocked`
+        avail = 1                          # ready candidates outside `blocked`: [k] alone
         alive_n = counted.bit_count()      # counted free sets outside `blocked`
-        stack = []              # (j, caps at j's node, blocked, avail, alive_n)
+        stack = []              # (j, cap, count, blocked, avail, alive_n) at j's node
 
         def prune(pos: int) -> bool:
             """Cut when b(pos) is below the incumbent.  A level before pos's
             adds just its count: its members L, an initial k-family, are
             t-intersecting, t = 2k - u, and miss each staircase passed, so
             |L| <= C(n, k - t) = C(n, u - k) (`layer_bound`) and |L| <= each
-            missing staircase's walk cap, that is counts <= caps."""
+            missing staircase's walk cap, that is count <= cap."""
             if not use_pruning:
                 return False
             li = level_at[pos]
-            room, left = caps[li] - counts[li], ends[li] - pos
+            # a level after `cl` holds no member and passed no special
+            room, left = cap - count if li == cl else caps0[li], ends[li] - pos
             return (alive_n + len(stack) + (room if room < left else left)
                     + tail[li] < incumbent.value)
 
         nodes = pos = 0
-        try:
-            while True:
-                # enter the node at pos, unless the deadline has passed
-                if deadline is not None:
-                    _check_deadline(deadline)
-                nodes += 1
-                open_ = avail >> pos
-                j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-                li = level_at[j]
-                for i in range(max(nspec[pos], first[j]), nspec[j]):
-                    if spec_caps[i] < caps[li]:
-                        caps[li] = spec_caps[i]
-                if j == N and len(stack) + alive_n >= incumbent.value:
-                    # a leaf: its members (one per frame) and the free sets
-                    # outside `blocked`; the incumbent ignores lower values
-                    value = alive_n + sum(counted_candidates >> f[0] & 1 for f in stack)
-                    if value >= incumbent.value:
-                        incumbent.offer(value, [masks[f[0]] for f in stack]
-                                        + [masks[b] for b in _bits(free & ~blocked)])
-                elif j < N and not prune(j):
-                    # include j; when prune(j) cuts it, b(j + 1) <= b(j)
-                    # cuts the exclude child too
-                    newly = 0
-                    dj = deps[j]
-                    if dj is None:
-                        dj = self._deps(j)
-                    for t in dj:
-                        missing[t] -= 1
-                        if not missing[t]:
-                            newly |= 1 << t
-                    stack.append((j, tuple(caps), blocked, avail, alive_n))
-                    inc = incompat[j]
-                    if inc is None:
-                        inc = incompat[j] = self.incompat_row(masks[j])
-                    blocked |= inc
-                    unblocked = ~blocked
-                    avail = (avail | newly) & unblocked
-                    alive_n = (counted & unblocked).bit_count()
-                    counts[level_of[j]] += 1
-                    if not prune(j + 1):
-                        pos = j + 1
-                        continue
-                # unwind to the first included j whose exclude child is open
-                while stack:
-                    j, saved, blocked, avail, alive_n = stack.pop()
-                    caps[:] = saved
-                    for t in deps[j]:
-                        missing[t] += 1
-                    li = level_of[j]
-                    counts[li] -= 1
-                    cap = special_cap.get(j)
-                    if cap is not None and cap < caps[li]:
-                        caps[li] = cap
-                    if not prune(j + 1):
-                        break
-                else:
-                    return nodes, False
-                pos = j + 1
-        except _TimeUp:
-            return nodes, True
+        while True:
+            # enter the node at pos, unless the deadline has passed
+            if deadline is not None and time.monotonic() >= deadline:
+                return nodes, True
+            nodes += 1
+            open_ = avail >> pos
+            j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
+            if j < N:
+                # lower j's level's cap at its specials in [pos, j)
+                i = nspec[pos]
+                if level_of[j] != cl:      # a later level, 1 or above, starts afresh
+                    cl, cap, count = level_of[j], caps0[level_of[j]], 0
+                    i = max(i, nspec[ends[cl - 1]])
+                for c in spec_caps[i:nspec[j]]:
+                    if c < cap:
+                        cap = c
+            if j == N and len(stack) + alive_n >= incumbent.value:
+                # a leaf: its members (one per frame) and the free sets
+                # outside `blocked`; the incumbent ignores lower values
+                value = alive_n + sum(counted_candidates >> f[0] & 1 for f in stack)
+                if value >= incumbent.value:
+                    incumbent.offer(value, [masks[f[0]] for f in stack]
+                                    + [masks[b] for b in _bits(free & ~blocked)])
+            elif j < N and not prune(j):
+                # include j; when prune(j) cuts it, b(j + 1) <= b(j)
+                # cuts the exclude child too
+                newly = 0
+                dj = deps[j]
+                if dj is None:
+                    dj = self._deps(j)
+                for t in dj:
+                    missing[t] -= 1
+                    if not missing[t]:
+                        newly |= 1 << t
+                stack.append((j, cap, count, blocked, avail, alive_n))
+                inc = incompat[j]
+                if inc is None:
+                    inc = incompat[j] = self.incompat_row(masks[j])
+                blocked |= inc
+                unblocked = ~blocked
+                avail = (avail | newly) & unblocked
+                alive_n = (counted & unblocked).bit_count()
+                count += 1
+                if not prune(j + 1):
+                    pos = j + 1
+                    continue
+            # unwind to the first included j whose exclude child is open
+            while stack:
+                j, cap, count, blocked, avail, alive_n = stack.pop()
+                for t in deps[j]:
+                    missing[t] += 1
+                cl, cap = level_of[j], min(cap, special_cap.get(j, cap))
+                if not prune(j + 1):
+                    break
+            else:
+                return nodes, False
+            pos = j + 1
 
 
 # ---------------------------------------------------------------------------

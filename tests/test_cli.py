@@ -321,6 +321,20 @@ def test_huge_decimal_exponent_exits_2_at_once(capsys):
         assert code == 0 and obj["sign"] == 1, c
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # the JSON decoder recurses once per nesting level; a file nested past
+    # the recursion limit is bad input, named by its path
+    deep = "[" * 100000 + "]" * 100000
+    for name, text in (("deep.json", deep), ("sets.json", '{"n": 3, "sets": %s}' % deep)):
+        path = tmp_path / name
+        path.write_text(text)
+        for argv in (["check", "--pred", "complex", "--input", str(path)],
+                     ["recheck", "--input", str(path)]):
+            assert run(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err, (argv, err)
+
+
 def test_binomial_cap_names_the_flag_n(capsys):
     # no inner binomial has a larger n than the flag, so the cap names it
     for argv in (["bound", "--name", "hm", "--n", str(10 ** 20), "--k", str(5 * 10 ** 16)],

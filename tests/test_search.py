@@ -334,6 +334,9 @@ def test_needs_are_predecessors_and_one_shadow_member():
             assert sorted(dfs.masks[j] for j in needs[t]) == sorted(want), (name, m)
             assert dfs.missing0[t] == len(needs[t]), (name, m)
             assert all(j < t for j in needs[t]), (name, m)
+        # only [k], the first candidate, has no needs: the search starts
+        # with it alone ready
+        assert [t for t, c in enumerate(dfs.missing0) if not c] == [0], name
 
 
 def test_walk_caps_example():
@@ -860,6 +863,16 @@ def test_certificate_input_validation():
     assert SearchCertificate.from_json_dict({**good, "maximizers": None}).maximizers is None
     assert SearchCertificate.from_json_dict({**good, "optimum": 1}).optimum == 1
     assert SearchCertificate.from_json_dict({**good, "optimum": "-2"}).optimum == -2
+
+
+def test_certificate_missing_field_names_it():
+    good = maximize("overflow_even", {"n": 6, "d": 1}).to_json_dict()
+    for key in ("objective", "params", "optimum", "witness", "proven_optimal",
+                "reduction", "nodes", "elapsed_ms"):
+        cert = dict(good)
+        del cert[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            SearchCertificate.from_json_dict(cert)
 
 
 def test_search_options_validation():
