@@ -176,7 +176,8 @@ def key_ratio_holds(n: int, r: int, a: int, b: int) -> BoundReport:
     Exact-rational comparison; requires n >= r + a and n > r > b, all positive.
     """
     if min(n, r, a, b) < 1:
-        raise ValueError("all of n, r, a, b must be positive")
+        raise ValueError(
+            f"all of n, r, a, b must be positive, got n={n}, r={r}, a={a}, b={b}")
     if n < r + a or not n > r > b:
         raise ValueError(f"need n >= r+a and n > r > b, got n={n}, r={r}, a={a}, b={b}")
     lhs = Fraction(binom(n - a, r), binom(n, r - b))

@@ -290,10 +290,9 @@ def trace(fam: SetFamily, p_set: Iterable[int], q_set: Iterable[int]) -> SetFami
     p = mask_of(p_set)
     q = mask_of(q_set)
     if p & ~q:
-        raise ValueError("P must be a subset of Q")
-    full = (1 << fam.n) - 1
-    if q & ~full:
-        raise ValueError(f"Q has elements outside [1, {fam.n}]")
+        raise ValueError(f"P {elements_of(p)} must be a subset of Q {elements_of(q)}")
+    if q >> fam.n:
+        raise ValueError(f"Q {elements_of(q)} has elements outside [1, {fam.n}]")
     return SetFamily.from_masks(
         fam.n, (m & ~q for m in fam.members if m & q == p))
 

@@ -440,15 +440,6 @@ class SearchCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-class _TimeUp(Exception):
-    pass
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() >= deadline:
-        raise _TimeUp
-
-
 # ---------------------------------------------------------------------------
 # the incumbent: one rule for both engines
 
@@ -472,9 +463,8 @@ class _Incumbent:
         self.count = 0
 
     def offer(self, value: int, masks: Sequence[int]) -> bool:
-        """Count a family of at least the incumbent value; True if it is the witness."""
-        if value < self.value:
-            return False
+        """Count a family whose value is at least the incumbent's, which the
+        caller checks first; True if it is the witness."""
         key = tuple(sorted(map(mask_key, masks)))
         if value > self.value:
             self.value, self.key, self.count = value, None, 0
@@ -864,18 +854,19 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
     wb = 0                              # the searched witness's pool bitset
     bounded = out if use_pruning else ()    # without pruning no bound cuts
 
-    def expand(r: int, p: int, x: int):
+    def expand(r: int, p: int, x: int) -> bool:
+        """Search below (r, p, x); True once the deadline has passed."""
         nonlocal cliques, calls, wb
         calls += 1
-        if calls & 511 == 0:
-            _check_deadline(deadline)
+        if calls & 511 == 0 and deadline is not None and time.monotonic() >= deadline:
+            return True
         if not p:                       # x is empty too: R is maximal
             cliques += 1
             value = min((r & o).bit_count() for o in out)
             if value >= incumbent.value and incumbent.offer(
                     value, [pool[i] for i in _bits(r)]):
                 wb = r
-            return
+            return False
         # any pivot is valid; a vertex of P is adjacent to at most |P| - 1
         most = p.bit_count() - 1
         best = -1
@@ -906,18 +897,19 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
                     break               # the anchor bound
                 tie = tie or c == value
             else:
-                if not (tie and incumbent.key is not None and _keys_not_below(a, wb)):
-                    expand(r | vb, pc, xc)
+                if not (tie and incumbent.key is not None
+                        and _keys_not_below(a, wb)) and expand(r | vb, pc, xc):
+                    return True
+        return False
 
-    try:
-        _check_deadline(deadline)
-        for i in roots:
-            vb, av = 1 << i, adj[i]
-            p, x = av & ~(vb - 1), av & (vb - 1)
-            if p or not x:              # else {r} extends only into X: not maximal
-                expand(vb, p, x)
-    except _TimeUp:
-        return cliques, True
+    if deadline is not None and time.monotonic() >= deadline:
+        return 0, True
+    for i in roots:
+        vb, av = 1 << i, adj[i]
+        p, x = av & ~(vb - 1), av & (vb - 1)
+        # else {r} extends only into X: not maximal
+        if (p or not x) and expand(vb, p, x):
+            return cliques, True
     return cliques, False
 
 

@@ -3,16 +3,37 @@
 The public operators are pure: each takes a SetFamily and returns a new one.
 Inside, a family is a set of masks, changed in place: `_OPS`, the one table
 of op kinds, gives each its arguments and a step that validates them and
-applies the op, so an op sequence is canonicalised once; `_sweep`, the one
-fixpoint driver, repeats `_shift` ops in a fixed order until a test shows that
-no op can move a member.  No down-shift moves a member of a family exactly
-when it is a complex (`core._down_closed`), and no i<-j shift exactly when
-it is closed under the elementary moves j -> j-1: by induction on j - i, a
-swap j -> i walks the hole at the largest absent k >= i up to j, then
-recurses on k -> i.  So a shift sweep, its ops grouped by i, also ends at
-the first group boundary where every family is initial: no later op could
-move a member, the log is the same, and `passes` counts the sweep that
-would move nothing as before.
+applies the op, so an op sequence is canonicalised once.
+
+One pass reaches each fixpoint.  Write S_ij-stable for "the shift S_ij
+moves no member", and D_i-stable likewise.  Let G = S_ij(F), i < j: each
+member of G is a member of F that did not move or an image, which has i.
+
+(a) G is S_ij-stable.
+(b) For a < i, G is S_ab-stable if F is S_ab- and S_aj-stable.  Take B in G
+    with b and not a; C = B - b + a must be in G.  If B is the image of A:
+    for b = i, C = A - j + a is in F (S_aj) and has no j, so it stays; else
+    A - b + a is in F (S_ab) and moves to C or is blocked by C in F, which
+    has no j.  If B did not move, C is in F (S_ab) and moves only if it has
+    j and not i, so b != j: for b = i, its image B - j + a is in F (S_aj);
+    else B - j + i is in F, as B did not move, and so is C's image (S_ab).
+(c) G keeps S_ib-stability for every b: a member without i is no image, so
+    it did not move, and the set it needs has i, so that set does not move.
+
+By induction over the lexicographic (i, j) order, one pass of the i<-j
+shifts ends S_ab-stable for all a < b: S_ij keeps the shifts (a, b) with
+a < i, by (b), as (a, j) came before, and (i, b), by (c).  Likewise D_j
+keeps D_i-stability for every i: a member B with i that did not move needs
+B - i, which is in F and, if it has j, is blocked by B - i - j, in F as
+B - j is; an image A - j needs A - i - j, the image of A - i or, if that is
+blocked, already in F without j.  So one pass D_1..D_n gives a complex.
+
+No down-shift moves a member exactly when the family is a complex
+(`core._down_closed`), and no i<-j shift exactly when it is closed under
+the elementary moves j -> j-1 (`_closed`): by induction on j - i, a swap
+j -> i walks the hole at the largest absent k >= i up to j, then recurses
+on k -> i.  So the shift pass, its ops grouped by i, can end at the first
+group boundary where every family is initial, with the same log.
 """
 
 from __future__ import annotations
@@ -142,53 +163,36 @@ def _closed(present: set[int]) -> bool:
     return True
 
 
-def _sweep(sets: list[set[int]], groups: list[list[tuple]], settled) -> ShiftLog:
-    """Apply the ops of `groups`, each a (log entry, bi, bj) for `_shift`, in
-    order to every set, sweep after sweep, until a sweep changes none of
-    them.  The log records each op that moved a member of some set, and
-    `passes` counts the sweeps: one more than those that moved a member.
-    `settled` holds for a set exactly when no op can move a member of it,
-    so the sweep ends once it holds for every set; it is checked before the
-    first sweep and after each group that moved a member, and the sweep
-    that would move nothing is counted but not run.  For the i<-j shifts,
-    grouped by i, it is `_closed`, for the down-shifts `_down_closed` (see
-    the module docstring).  Checking after every moving op instead made
-    shifts of small random families about 5 % slower."""
-    if all(map(settled, sets)):
-        return ShiftLog((), 1)
+def _shift_pass(sets: list[set[int]], n: int) -> ShiftLog:
+    """Apply the i<-j shifts on [n] once, in lexicographic (i, j) order, to
+    every set, and log each that moved a member of some set.  The pass
+    reaches the fixpoint, so `passes` counts it and, if it moved a member,
+    the pass that would move nothing.  It ends early once every set is
+    `_closed`, checked before the pass and after each i-group that moved a
+    member (checking after each moving op made small shifts 5 % slower)."""
     log = []
-    passes = 1
-    while True:
-        start = len(log)
-        for group in groups:
-            before = len(log)
-            for entry, bi, bj in group:
+    if not all(map(_closed, sets)):
+        for i in range(1, n):
+            before, bi = len(log), 1 << (i - 1)
+            for j in range(i + 1, n + 1):
                 # a list, not a generator, so that every set is shifted
-                if any([_shift(present, bi, bj) for present in sets]):
-                    log.append(entry)
-            if len(log) > before and all(map(settled, sets)):
-                return ShiftLog(tuple(log), passes + 1)
-        if len(log) == start:
-            return ShiftLog(tuple(log), passes)
-        passes += 1
-
-
-def _shifts(n: int) -> list[list[tuple]]:
-    """The i<-j shifts on [n] in lexicographic (i, j) order, as sweep ops
-    grouped by i."""
-    return [[(("shift", i, j), 1 << (i - 1), 1 << (j - 1))
-             for j in range(i + 1, n + 1)] for i in range(1, n)]
+                if any([_shift(present, bi, 1 << (j - 1)) for present in sets]):
+                    log.append(("shift", i, j))
+            if len(log) > before and all(map(_closed, sets)):
+                break
+    return ShiftLog(tuple(log), 1 + bool(log))
 
 
 def make_initial(fam: SetFamily) -> tuple[SetFamily, ShiftLog]:
-    """Apply i<-j shifts in lexicographic (i, j) sweeps until nothing moves."""
+    """Apply the i<-j shifts once, in lexicographic (i, j) order; that one
+    pass makes the family initial (see the module docstring)."""
     present = set(fam.members)
-    log = _sweep([present], _shifts(fam.n), _closed)
+    log = _shift_pass([present], fam.n)
     return SetFamily.from_masks(fam.n, present), log
 
 
 def make_initial_pair(fam_a: SetFamily, fam_b: SetFamily) -> tuple[SetFamily, SetFamily]:
-    """Shift two families simultaneously until both are initial.
+    """Shift two families simultaneously, in one pass that makes both initial.
 
     Applying the same shift to both sides is what preserves the cross
     intersecting property; shifting one side alone can destroy it.
@@ -196,7 +200,7 @@ def make_initial_pair(fam_a: SetFamily, fam_b: SetFamily) -> tuple[SetFamily, Se
     if fam_a.n != fam_b.n:
         raise ValueError(f"ground-set mismatch: {fam_a.n} vs {fam_b.n}")
     sets = [set(fam_a.members), set(fam_b.members)]
-    _sweep(sets, _shifts(fam_a.n), _closed)
+    _shift_pass(sets, fam_a.n)
     return tuple(SetFamily.from_masks(fam_a.n, present) for present in sets)
 
 
@@ -216,15 +220,17 @@ def is_initial(fam: SetFamily) -> bool:
 
 
 def _downshift_fixpoint(fam: SetFamily) -> tuple[SetFamily, ShiftLog]:
+    """Down-shift once by 1..n unless the family is already a complex; that
+    pass gives a complex (see the module docstring)."""
     present = set(fam.members)
-    log = _sweep([present], [[(("downshift", i), 0, 1 << (i - 1))
-                              for i in range(1, fam.n + 1)]], _down_closed)
-    return SetFamily.from_masks(fam.n, present), log
+    ops = () if _down_closed(present) else tuple(
+        ("downshift", i) for i in range(1, fam.n + 1) if _shift(present, 0, 1 << (i - 1)))
+    return SetFamily.from_masks(fam.n, present), ShiftLog(ops, 1 + bool(ops))
 
 
 def make_complex_by_downshift(fam: SetFamily) -> SetFamily:
-    """Down-shift sweeps in index order until the family is a complex; the
-    size is preserved and the diameter never grows."""
+    """Down-shift by 1..n once, which makes the family a complex; the size
+    is preserved and the diameter never grows."""
     return _downshift_fixpoint(fam)[0]
 
 

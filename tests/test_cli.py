@@ -105,6 +105,19 @@ def test_overflow_subcommand(tmp_path, capsys):
     assert obj["overflow"] == "10" and obj["best_x"] == 1
 
 
+def test_even_overflow_subcommand_matches_its_bound(tmp_path, capsys):
+    # the overflow of the base-[4] family is the closed form d_even_overflow
+    fam = tmp_path / "d.json"
+    run(["construct", "--family", "d-even", "--n", "8", "--d", "3", "-o", str(fam)])
+    capsys.readouterr()
+    code, obj = run_json(capsys, ["overflow", "--parity", "even", "--d", "3",
+                                  "--input", str(fam)])
+    assert code == 0 and obj == {"parity": "even", "d": 3, "overflow": "21"}
+    code, obj = run_json(capsys, ["bound", "--name", "d-even-overflow",
+                                  "--n", "8", "--d", "3"])
+    assert code == 0 and obj["value"] == "21"
+
+
 def test_walks_subcommands(tmp_path, capsys):
     code, obj = run_json(capsys, ["walks", "--mode", "count", "--n", "4",
                                   "--k", "2", "--t", "1"])

@@ -172,13 +172,14 @@ COUNTED_FROM = {
 def test_layered_bitsets_match_their_definitions():
     # the layered engine's index space holds the candidates by level, then
     # the free sets by size, each level in `combinations` order; `has[x]`
-    # marks the sets containing x and `incompat_row` the sets that break the
-    # pairwise relation with a candidate (union <= u, or intersecting), and
-    # `counted` the free sets of size >= COUNTED_FROM.  The exhaustive
-    # pool's adjacency rows, from the same counter, hold the other
-    # candidates compatible under the objective's own relation, every size
-    # of the pool is self-compatible, and the roots are the pool indices of
-    # [s], one per pool size, or of the empty set, first in the pool.
+    # marks the sets containing x, `incompat_row` the sets whose union with
+    # a candidate has more than u elements (u = 2k - 1 for the intersecting
+    # objective) and `counted` the free sets of size >= COUNTED_FROM.  The
+    # exhaustive pool's adjacency rows, from the same counter, hold the
+    # other candidates compatible under the objective's own relation, every
+    # size of the pool is self-compatible, and the roots are the pool
+    # indices of [s], one per pool size, or of the empty set, first in the
+    # pool.
     for name, obj in search.OBJECTIVES.items():
         pairwise = PAIRWISE[obj.relation]
         for n in range(1, 9):
@@ -215,8 +216,7 @@ def test_layered_bitsets_match_their_definitions():
                     a = masks[j]
                     assert dfs.incompat_row(a) == sum(
                         1 << i for i, b in enumerate(masks)
-                        if ((a | b).bit_count() > u if u is not None
-                            else not a & b)), (obj, n, v, j)
+                        if (a | b).bit_count() > u), (obj, n, v, j)
                 t = COUNTED_FROM[name](inst)
                 assert dfs.counted == sum(
                     1 << i for i in range(dfs.N, len(masks))
@@ -801,6 +801,23 @@ def test_deadline_stops_the_search_mid_tree():
     assert cert.maximizers is None and cert.nodes_explored > 0
     assert cert.elapsed_ms < 2000
     assert recheck(cert)
+
+
+def test_exhaustive_deadline_returns_its_stop():
+    # the unrestricted engine checks the clock every 512 calls and returns
+    # once it has passed; (6, 5) is far from enumerated after 0.2 s
+    def search(time_limit):
+        return maximize("max_diameter_size", {"n": 6, "u": 5}, SearchOptions(
+            restrict_to_initial_complexes=False, time_limit=time_limit))
+    t0 = time.monotonic()
+    cert = search(0.2)
+    assert time.monotonic() - t0 < 1
+    assert cert.reduction_used == "none"
+    assert cert.timed_out and not cert.proven_optimal
+    assert cert.maximizers is None and cert.optimum == 32
+    assert recheck(cert)
+    cert = search(0)
+    assert cert.timed_out and cert.nodes_explored == 0
 
 
 def test_seed_valuation_reads_one_center():

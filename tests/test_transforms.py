@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from katona import (
-    SetFamily, ShiftLog, at_least, ball, diameter, down_shift, elements_of,
-    family_from_sets, is_complex, is_cross_t_intersecting, is_initial,
-    is_t_intersecting, is_u_union, katona, katona_x, left_translate,
-    make_complex_by_downshift, make_initial, make_initial_pair, precedes,
-    replay, shift_ij,
+    SetFamily, ShiftLog, at_least, ball, complement_family, diameter,
+    down_shift, elements_of, family_from_sets, is_complex,
+    is_cross_t_intersecting, is_initial, is_t_intersecting, is_u_union, katona,
+    katona_x, left_translate, make_complex_by_downshift, make_initial,
+    make_initial_pair, precedes, replay, shift_ij,
 )
 from helpers import (
     random_family, random_t_intersecting_family, random_u_union_family,
@@ -146,8 +146,9 @@ def test_make_initial_pair_keeps_cross_property():
 
 @pytest.mark.parametrize("x", range(1, 17))
 def test_shift_sweep_ends_once_initial(x):
-    """One shift (1, x) makes the anchored family initial; the sweep ends at
-    the i = 1 group boundary and counts the sweep that would move nothing."""
+    """One shift (1, x) makes the anchored family initial; the pass ends at
+    the i = 1 group boundary, and `passes` counts the pass that would move
+    nothing."""
     out, log = make_initial(katona_x(16, 7, x))
     assert out == katona(16, 7)
     assert (log.ops, log.passes) == (((("shift", 1, x),), 2) if x > 1 else ((), 1))
@@ -172,14 +173,48 @@ def _plain_sweep(fams):
     return fams, ShiftLog(tuple(ops), passes)
 
 
+def _plain_downshift_sweep(fam):
+    """The down-shift fixpoint by its definition, with no early exit: apply
+    D_1..D_n, sweep after sweep, until a sweep moves nothing; log each
+    down-shift that moved a member and count the sweeps, the last one
+    included."""
+    ops, passes, moved = [], 0, True
+    while moved:
+        passes += 1
+        moved = False
+        for i in range(1, fam.n + 1):
+            shifted = down_shift(fam, i)
+            if shifted != fam:
+                ops.append(("downshift", i))
+                fam, moved = shifted, True
+    return fam, ShiftLog(tuple(ops), passes)
+
+
+def _all_families(max_n):
+    """Every family on [n] for 1 <= n <= max_n: 276 for max_n = 3."""
+    return [SetFamily.from_masks(n, [m for m in range(1 << n) if bits >> m & 1])
+            for n in range(1, max_n + 1) for bits in range(1 << (1 << n))]
+
+
 def test_shift_sweeps_match_a_plain_sweep():
     rng = random.Random(22)
+    pairs = []
     for _ in range(120):
         n = rng.randrange(1, 13)
-        fam, other = random_family(rng, n, 16), random_family(rng, n, 16)
+        pairs.append((random_family(rng, n, 16), random_family(rng, n, 16)))
+    pairs += [(fam, complement_family(fam)) for fam in _all_families(3)]
+    for fam, other in pairs:
         (out,), log = _plain_sweep([fam])
         assert make_initial(fam) == (out, log)
         assert make_initial_pair(fam, other) == tuple(_plain_sweep([fam, other])[0])
+
+
+def test_downshift_pass_matches_a_plain_sweep():
+    from katona.transforms import _downshift_fixpoint
+    rng = random.Random(23)
+    fams = [random_family(rng, rng.randrange(1, 13), 16) for _ in range(120)]
+    for fam in fams + _all_families(3):
+        assert _downshift_fixpoint(fam) == _plain_downshift_sweep(fam)
 
 
 def test_precedes():
