@@ -6,11 +6,13 @@ initial-complex engine with pruning, and with n <= 7 without pruning;
 `--unrestricted` adds the exhaustive engine, pruned and unpruned, for
 n <= 7.  Each record holds the certificate without `elapsed_ms`, so two
 builds of the search agree exactly when their output files are
-byte-identical (`cmp a.json b.json`), `nodes` included.  A run stopped by
-`--time-limit` is recorded only as timed out, because how far it got
-depends on the machine; a run refused by a resource cap is recorded with
-the cap's message.  Every certificate is rechecked with `search.recheck`;
-the file is written either way, and the script exits 1 if one fails.
+byte-identical (`cmp a.json b.json`), `nodes` included; an
+`--unrestricted` grid is compared with `--diff` instead (below).  A run
+stopped by `--time-limit` is recorded only as timed out, because how far
+it got depends on the machine; a run refused by a resource cap is
+recorded with the cap's message.  Every certificate is rechecked with
+`search.recheck`; the file is written either way, and the script exits 1
+if one fails.
 
     PYTHONPATH=src python3 scripts/certificate_grid.py --out grid.json
 
@@ -18,7 +20,11 @@ the file is written either way, and the script exits 1 if one fails.
 change that may move only node counts: it lists every record whose
 certificate differs in a field other than `nodes`, or that only one file
 holds, and exits 1 if there is any.  Records timed out in either file are
-skipped, and named and counted on stderr.
+skipped, and named and counted on stderr.  Grids written with
+`--unrestricted` are compared this way and never with `cmp`: two of their
+runs end near the time limit, the pruned `max_union_size` (7,6) and the
+unpruned `upper_layers` (7,6), so on a loaded host the same build times
+out a different set of runs.
 
 `--oracle FILE` checks one such file against its own unpruned runs: each
 `restricted` or `unrestricted` record must equal its `*_unpruned` twin (same

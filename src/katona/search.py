@@ -60,7 +60,7 @@ from .core import (
     family_to_json_dict, is_diameter_at_most, is_t_intersecting, is_u_union,
     mask_key, mask_of,
 )
-from .bounds import walk_gap_bound, walk_skip_bound
+from .bounds import layer_bound, walk_gap_bound, walk_skip_bound
 from . import constructions as cons
 
 _EXHAUSTIVE_POOL_CAP = 600
@@ -479,18 +479,14 @@ class _Incumbent:
 # layered initial-complex engine
 
 def _walk_caps(n: int, k: int) -> dict[int, int]:
-    """Mask -> the least walk cap of the missing k-set staircases in [n]: the
-    gap sets (1..p, p+2, ..., 2k-p), p < k, with `walk_gap_bound`, and the
-    skip sets (p, p+2, ..., p+2k-2), 2 <= p < k, with `walk_skip_bound`."""
+    """Mask -> the walk cap of each missing k-set staircase in [n]: the gap
+    sets (1..p, p+2, ..., 2k-p), p < k, with `walk_gap_bound`, and the skip
+    sets (p, p+2, ..., p+2k-2), 3 <= p < k, with `walk_skip_bound`; the skip
+    set p = 2 is the gap set p = 0, with the same cap C(n, k - 1)."""
     stairs = [((*range(1, p + 1), *range(p + 2, 2 * k - p + 1, 2)), walk_gap_bound, p)
               for p in range(k)]
-    stairs += [(range(p, p + 2 * k - 1, 2), walk_skip_bound, p) for p in range(2, k)]
-    caps: dict[int, int] = {}
-    for els, bound, p in stairs:
-        if els[-1] <= n:
-            m, cap = mask_of(els), bound(n, k, p)
-            caps[m] = min(caps.get(m, cap), cap)
-    return caps
+    stairs += [(range(p, p + 2 * k - 1, 2), walk_skip_bound, p) for p in range(3, k)]
+    return {mask_of(els): bound(n, k, p) for els, bound, p in stairs if els[-1] <= n}
 
 
 _CANDIDATE_CAP = 20_000
@@ -650,7 +646,7 @@ class _LayeredDFS:
                 continue
             self.counted_candidates |= out << start
             # layer k is t-intersecting, t = 2k - u (`prune`)
-            self.caps0.append(min(comb(n, k), comb(n, inst.u - k)))
+            self.caps0.append(layer_bound(n, 2 * k - inst.u, inst.u - k))
             # the immediate predecessors, plus one shadow member above the lowest level
             self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + (li > 0)
                               for m in level]
@@ -805,7 +801,8 @@ def _keys_not_below(a: int, w: int) -> bool:
     order.  The i-th smallest index of F is at least that of a, so when the
     lowest index d where a and w differ is in w (or a = w), F agrees with w
     below d at best and then has a larger index or ends, and ending there
-    makes F a proper subset of w.
+    makes F a proper subset of w.  With w = 0, no searched witness yet, the
+    test fails for every nonempty a, so nothing is cut before a witness.
     """
     d = a ^ w
     return not d or d & -d & w != 0
@@ -831,7 +828,8 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
       W (or A = W), every such F is a proper subset of W, which is not
       maximal, or has a key at least W's (`_keys_not_below`).
 
-    Each child is tested before the call, so a cut child costs no call.
+    Each child is tested before the call, so a cut child costs no call, and
+    each call checks the deadline first, as each layered node does.
     Only ties with smaller keys are offered, so the optimum and witness do
     not depend on pruning, and the count of valued families falls toward 1
     when the seed is already optimal.
@@ -850,15 +848,14 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
     give r >= min W >= r.  So W starts at a root, and the optimum and the
     witness cannot change.
     """
-    cliques = calls = 0
-    wb = 0                              # the searched witness's pool bitset
+    cliques = 0
+    wb = 0                              # the searched witness's pool bitset, or 0
     bounded = out if use_pruning else ()    # without pruning no bound cuts
 
     def expand(r: int, p: int, x: int) -> bool:
         """Search below (r, p, x); True once the deadline has passed."""
-        nonlocal cliques, calls, wb
-        calls += 1
-        if calls & 511 == 0 and deadline is not None and time.monotonic() >= deadline:
+        nonlocal cliques, wb
+        if deadline is not None and time.monotonic() >= deadline:
             return True
         if not p:                       # x is empty too: R is maximal
             cliques += 1
@@ -897,13 +894,10 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
                     break               # the anchor bound
                 tie = tie or c == value
             else:
-                if not (tie and incumbent.key is not None
-                        and _keys_not_below(a, wb)) and expand(r | vb, pc, xc):
+                if not (tie and _keys_not_below(a, wb)) and expand(r | vb, pc, xc):
                     return True
         return False
 
-    if deadline is not None and time.monotonic() >= deadline:
-        return 0, True
     for i in roots:
         vb, av = 1 << i, adj[i]
         p, x = av & ~(vb - 1), av & (vb - 1)

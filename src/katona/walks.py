@@ -92,8 +92,6 @@ def reflection_count(n: int, k: int, t: int, a: int, b: int) -> int:
 def _brute_hits(steps: int, ups: int, offset: int) -> int:
     """Enumerate all C(steps, ups) up-step placements; count walks reaching
     height-minus-width == offset at some prefix."""
-    if ups < 0 or ups > steps:
-        return 0
     count = 0
     for up_positions in combinations(range(steps), ups):
         d = 0

@@ -73,6 +73,11 @@ def test_walk_bounds():
     assert walk_gap_bound(6, 3, 0) == comb(6, 2) == 15
     assert walk_gap_bound(6, 3, 2) == comb(6, 0) == 1
     assert walk_skip_bound(8, 3, 2) == comb(8, 2) == 28
+    # the skip staircase p = 2, (2, 4, ..., 2k), is the gap staircase p = 0
+    # and its cap C(n, k) - C(n, k) + C(n, k - 1) is the gap cap
+    for n in range(6, 21):
+        for k in range(3, n // 2 + 1):
+            assert walk_skip_bound(n, k, 2) == walk_gap_bound(n, k, 0), (n, k)
     with pytest.raises(ValueError):
         walk_gap_bound(6, 3, 3)
     with pytest.raises(ValueError):
@@ -229,6 +234,8 @@ def test_shadow_bound_example():
     fam = family_from_sets(3, [[1, 2], [1, 3]])
     rep = shadow_bound_check(fam, 1)
     assert rep.holds and rep.lhs == 1 and rep.rhs == Fraction(2, 3)
+    rep = shadow_bound_check(family_from_sets(4, []), 1)
+    assert rep.holds and rep.lhs == rep.rhs == 0
 
 
 def test_shadow_bound_random():

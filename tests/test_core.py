@@ -217,6 +217,7 @@ def test_shadow():
     assert shadow(fam, 1).member_sets() == ((1,), (2,), (3,))
     single = family_from_sets(6, [[1, 3, 5, 6]])
     assert len(shadow(single, 2)) == 6
+    assert shadow(family_from_sets(4, []), 2) == family_from_sets(4, [])
     with pytest.raises(ValueError):
         shadow(family_from_sets(3, [[1], [1, 2]]), 1)
 

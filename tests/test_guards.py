@@ -4,9 +4,10 @@ that names the values it was given."""
 import pytest
 
 from katona import (
-    CapExceeded, ConstructionSpec, SetFamily, at_least, avoid, ball, construct,
-    d2r_upper_count, d_even_gap_closed_form, d_even_overflow,
-    diametral_overflow, ekr_bound, family_from_sets, hm_bound, katona,
+    CapExceeded, ConstructionSpec, SearchCertificate, SetFamily, at_least,
+    avoid, ball, construct, d2r_upper_count, d_even_gap_closed_form,
+    d_even_overflow, diametral_overflow, ekr_bound, family_from_sets, hm_bound,
+    is_cross_t_intersecting, is_t_intersecting, is_u_union, katona,
     katona_bound, katona_overflow_of, katona_star, katona_x, key_ratio_holds,
     layer, layer_bound, lex_rank, lex_segment, make_initial_pair, maximize,
     overflow_even_of, overflow_odd_of, reflection_count, shadow,
@@ -65,6 +66,18 @@ PAIRS = family_from_sets(4, [[1, 2], [3, 4]])
     (lambda: maximize("diametral_overflow", {"n": 21, "u": 4}), CapExceeded,
      ["n <= 20", "got 21"]),
     (lambda: make_initial_pair(PAIRS, SetFamily(5, ())), ValueError, ["4 vs 5"]),
+    # the ground set and the predicates, a construction, the search's
+    # ground set and the certificate form (appended, so the cases above
+    # keep their ids)
+    (lambda: SetFamily.from_masks(-1, []), ValueError, ["nonnegative, got -1"]),
+    (lambda: is_t_intersecting(PAIRS, 0), ValueError, ["positive, got 0"]),
+    (lambda: is_cross_t_intersecting(PAIRS, PAIRS, 0), ValueError,
+     ["positive, got 0"]),
+    (lambda: is_u_union(PAIRS, -1), ValueError, ["nonnegative, got -1"]),
+    (lambda: katona_x(3, 5, 1), ValueError, ["u=5", "n=3"]),
+    (lambda: maximize("overflow_even", {"n": 0, "d": 1}), ValueError,
+     ["n >= 1, got 0"]),
+    (lambda: SearchCertificate.from_json_dict([]), ValueError, ["JSON object"]),
 ])
 def test_guard_names_the_values(call, error, names):
     with pytest.raises(error) as info:

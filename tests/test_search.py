@@ -18,7 +18,7 @@ from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
     b_family, ball, d_even, d_even_overflow, d_odd5, diameter,
     diametral_overflow, down_closure, elements_of, family_from_sets, g_family,
-    is_complex, is_initial,
+    is_complex, is_initial, layer_bound,
     katona, katona_bound, katona_overflow_of, make_initial, maximize,
     overflow_even_of, overflow_odd_of, recheck, mask_of, search, triangle,
     verify_hilton,
@@ -339,10 +339,21 @@ def test_needs_are_predecessors_and_one_shadow_member():
         assert [t for t, c in enumerate(dfs.missing0) if not c] == [0], name
 
 
+def test_layer_caps_are_layer_bound():
+    # layer k of a u-union family is (2k - u)-intersecting, so its initial
+    # cap is C(n, u - k); as u < n, that is below C(n, k), the level's size
+    for name, obj, _, inst in _instances(12):
+        n, u = inst.n, inst.u
+        caps0 = search._LayeredDFS(obj, inst, True).caps0
+        assert caps0 == [layer_bound(n, 2 * k - u, u - k) for k in inst.levels], name
+        assert all(c < comb(n, k) for c, k in zip(caps0, inst.levels)), (name, inst)
+
+
 def test_walk_caps_example():
     # the 4-sets of [9]: gap sets (1..p, p+2, ..., 8-p) for p < 4 with cap
-    # C(9, 3-p), and skip sets (p, p+2, p+4, p+6) for p = 2, 3; the skip set
-    # (2,4,6,8) ties the gap cap C(9, 3) and (3,5,7,9) has 126 - 70 + 56
+    # C(9, 3-p), and the skip set (p, p+2, p+4, p+6) for p = 3, with cap
+    # 126 - 70 + 56; the skip set p = 2, (2,4,6,8), is the gap set p = 0
+    # with the same cap C(9, 3), so the skips start at p = 3
     assert search._walk_caps(9, 4) == {
         mask_of((2, 4, 6, 8)): 84, mask_of((1, 3, 5, 7)): 36,
         mask_of((1, 2, 4, 6)): 9, mask_of((1, 2, 3, 5)): 1,
@@ -804,8 +815,8 @@ def test_deadline_stops_the_search_mid_tree():
 
 
 def test_exhaustive_deadline_returns_its_stop():
-    # the unrestricted engine checks the clock every 512 calls and returns
-    # once it has passed; (6, 5) is far from enumerated after 0.2 s
+    # the unrestricted engine checks the clock on entering each node and
+    # returns once it has passed; (6, 5) is far from enumerated after 0.2 s
     def search(time_limit):
         return maximize("max_diameter_size", {"n": 6, "u": 5}, SearchOptions(
             restrict_to_initial_complexes=False, time_limit=time_limit))
@@ -861,6 +872,7 @@ def test_certificate_json_round_trip():
     again = SearchCertificate.from_json_dict(cert.to_json_dict())
     assert again == cert
     assert recheck(again)
+    assert SearchCertificate.from_json_dict(json.loads(cert.to_json())) == cert
 
 
 def test_certificate_input_validation():

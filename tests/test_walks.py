@@ -80,6 +80,9 @@ def test_reflection_hypothesis_violations_raise():
 def test_brute_unreachable_is_zero():
     assert brute_hit_count(6, 2, 6, 0, 0) == 0
     assert brute_hit_count(4, 2, -5, 0, 0) == 0
+    # no walk at all: more ups than steps, or a start past the end
+    assert brute_hit_count(3, 4, 1, 0, 0) == 0
+    assert brute_hit_count(4, 2, 1, 3, 2) == 0
 
 
 def test_brute_cap():
