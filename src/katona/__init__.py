@@ -32,6 +32,7 @@ from .bounds import (
     key_ratio_holds, d_even_overflow, d_even_gap, d_even_gap_closed_form,
     d2r_upper_count, d2r_gap, crossover_quintic, sperner_cross_check,
     shadow_bound_check, layer_bound, layer_bound_refined, verify_hilton,
+    complete_intersection_bound, near_base_overflow,
 )
 from .search import (
     SearchOptions, SearchCertificate, maximize, recheck,

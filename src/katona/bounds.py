@@ -95,6 +95,27 @@ def layer_bound(n: int, t: int, ell: int) -> int:
     return binom(n, ell)
 
 
+def complete_intersection_bound(n: int, k: int, t: int) -> int:
+    """The largest t-intersecting family of k-subsets of [n] (Ahlswede and
+    Khachatrian's complete intersection theorem): the max over
+    0 <= r <= (n - t)/2 of |{F : |F & [t + 2r]| >= t + r}|, that is
+    sum_{i=t+r}^{min(k, t+2r)} C(t + 2r, i) C(n - t - 2r, k - i)."""
+    if not 1 <= t <= k <= n:
+        raise ValueError(f"need 1 <= t <= k <= n, got n={n}, k={k}, t={t}")
+    return max(sum(binom(t + 2 * r, i) * binom(n - t - 2 * r, k - i)
+                   for i in range(t + r, min(k, t + 2 * r) + 1))
+               for r in range((n - t) // 2 + 1))
+
+
+def near_base_overflow(n: int, d: int, s: int) -> int:
+    """Overflow of the near-base rung {S : |S \\ [2s]| <= d - s}, the
+    members of size above d: sum_{k=d+1}^{2d} sum_{j<=d-s} C(2s, k-j) C(n-2s, j)."""
+    if not 1 <= s <= d or n < 2 * s:
+        raise ValueError(f"need 1 <= s <= d and n >= 2s, got n={n}, d={d}, s={s}")
+    return sum(binom(2 * s, k - j) * binom(n - 2 * s, j)
+               for k in range(d + 1, 2 * d + 1) for j in range(d - s + 1))
+
+
 def layer_bound_refined(n: int, t: int, ell: int) -> BoundReport:
     """C(n-1, ell), valid for ell <= (n - t - 1) / 2; regime-flagged."""
     if t < 1 or ell < 0 or t + ell > n:

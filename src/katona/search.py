@@ -26,8 +26,10 @@ Two engines back `maximize`:
   order whose shadow lies in the layer below.  The kernel, `_LayeredDFS`,
   runs the union rule for every objective, on int bitsets, and values a
   leaf, an initial complex, by its count at the first anchor.  Pruning
-  uses only the closed-form layer caps and the gap/skip walk bounds, so
-  disabling pruning never changes the optimum.
+  uses only closed-form caps, each layer's complete intersection maximum
+  and the gap/skip walk bounds, so disabling pruning never changes the
+  optimum.  The overflow objectives start from the best near-base rung,
+  s = 1..d, as the seed.
 
 * An unrestricted exhaustive engine that enumerates all maximal feasible
   families (Bron-Kerbosch with pivoting over the pairwise-compatibility
@@ -60,7 +62,7 @@ from .core import (
     family_to_json_dict, is_diameter_at_most, is_t_intersecting, is_u_union,
     mask_key, mask_of,
 )
-from .bounds import layer_bound, walk_gap_bound, walk_skip_bound
+from .bounds import complete_intersection_bound, walk_gap_bound, walk_skip_bound
 from . import constructions as cons
 
 _EXHAUSTIVE_POOL_CAP = 600
@@ -225,7 +227,9 @@ class Objective:
     initial complexes that the layered engine searches it is the count at
     the first anchor (x = 1 by the shift x -> 1, the empty center by the
     down-shifts), which that engine bounds and values its leaves with, and
-    `_Incumbent` its `seeds`: ladder rungs (`_rungs`) or `triangle`.
+    `_Incumbent` its `seeds`: the Katona family for the counting objectives,
+    every near-base rung N_s = {S : |S \\ [2s + u % 2]| <= d - s}, s = 1..d,
+    for the overflow objectives (both `_rungs`), or `triangle` for diversity.
     `sizes` are the member sizes the exhaustive engine enumerates, by
     default the instance's `levels`: members of other sizes are infeasible
     or cannot raise the value, and every set of these sizes is
@@ -245,9 +249,12 @@ class Objective:
     max_n: int = ALGEBRAIC_CAP         # the evaluator's; `maximize` caps at SEARCH_CAP
 
 
-def _rungs(*ss: int) -> Callable[[_Instance], list[SetFamily]]:
-    """Seeds: the rungs `constructions._near_katona(n, u, s)` of the listed s <= d."""
-    return lambda i: [cons._near_katona(i.n, i.u, s) for s in ss if s <= i.d]
+def _rungs(first: int,
+           last: int | None = None) -> Callable[[_Instance], list[SetFamily]]:
+    """Seeds: the rungs `constructions._near_katona(n, u, s)` for s = first..last,
+    last = d by default."""
+    return lambda i: [cons._near_katona(i.n, i.u, s)
+                      for s in range(first, (i.d if last is None else last) + 1)]
 
 
 def _points(i: _Instance) -> list[int]:
@@ -274,14 +281,14 @@ OBJECTIVES: dict[str, Objective] = {
     "max_union_size": Objective(
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         sizes=lambda i: range(i.u + 1),
-        seeds=_rungs(0), outside=lambda i, a, m: True, roots=_size_roots),
+        seeds=_rungs(0, 0), outside=lambda i, a, m: True, roots=_size_roots),
     "max_diameter_size": Objective(
         ("n", "u"), _union_instance, _DIAMETER, shift_invariant=True,
         sizes=lambda i: range(i.n + 1),
-        seeds=_rungs(0), outside=lambda i, a, m: True, roots=_empty_root),
+        seeds=_rungs(0, 0), outside=lambda i, a, m: True, roots=_empty_root),
     "overflow_even": Objective(
         ("n", "d"), _overflow_instance(0), _UNION, shift_invariant=True,
-        seeds=_rungs(1, 2),
+        seeds=_rungs(1),
         outside=lambda i, a, m: m.bit_count() > i.d, roots=_size_roots),
     # |M \ {x}| > d: members above size d + 1 count for every x
     "overflow_odd": Objective(
@@ -293,7 +300,7 @@ OBJECTIVES: dict[str, Objective] = {
         ("n", "u"), _union_instance, _UNION, shift_invariant=True,
         # size >= r, where u = 2r or 2r - 1: that is 2 size >= u
         sizes=lambda i: range((i.u + 1) // 2, i.u + 1),
-        seeds=_rungs(0), outside=lambda i, a, m: 2 * m.bit_count() >= i.u,
+        seeds=_rungs(0, 0), outside=lambda i, a, m: 2 * m.bit_count() >= i.u,
         roots=_size_roots),
     # min-anchor avoidance: the members avoiding x
     "diversity": Objective(
@@ -580,7 +587,9 @@ class _LayeredDFS:
     the union rule `_UNION.meet` on j's first inclusion: every family the
     engine covers is u-union (`_Instance`).
     `blocked` is the OR of `incompat` over the included members, so a set
-    is compatible with all of them exactly when its bit is clear.
+    is compatible with all of them exactly when its bit is clear.  A
+    level's initial cap, `caps0`, is the complete intersection maximum of
+    its layer, which is t-intersecting for t = 2k - u (`prune`).
 
     A candidate m = {a1 < ... < ak} needs its immediate predecessors and,
     above the lowest level, m minus a1: the levels are down-sets, and every
@@ -646,7 +655,7 @@ class _LayeredDFS:
                 continue
             self.counted_candidates |= out << start
             # layer k is t-intersecting, t = 2k - u (`prune`)
-            self.caps0.append(layer_bound(n, 2 * k - inst.u, inst.u - k))
+            self.caps0.append(complete_intersection_bound(n, k, 2 * k - inst.u))
             # the immediate predecessors, plus one shadow member above the lowest level
             self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + (li > 0)
                               for m in level]
@@ -698,9 +707,12 @@ class _LayeredDFS:
         def prune(pos: int) -> bool:
             """Cut when b(pos) is below the incumbent.  A level before pos's
             adds just its count: its members L, an initial k-family, are
-            t-intersecting, t = 2k - u, and miss each staircase passed, so
-            |L| <= C(n, k - t) = C(n, u - k) (`layer_bound`) and |L| <= each
-            missing staircase's walk cap, that is count <= cap."""
+            t-intersecting, t = 2k - u, and miss each staircase passed.  By
+            the complete intersection theorem (Ahlswede and Khachatrian,
+            1997), |L| <= max_r |{F : |F & [t + 2r]| >= t + r}|
+            (`complete_intersection_bound`, at most `layer_bound`'s
+            C(n, u - k)), and |L| <= each missing staircase's walk cap, that
+            is count <= cap."""
             if not use_pruning:
                 return False
             li = level_at[pos]

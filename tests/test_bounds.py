@@ -1,17 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from katona import (
-    SetFamily, at_least, binom, crossover_quintic, d2r_gap, d2r_upper_count,
-    d_2r, d_even, d_even_gap, d_even_gap_closed_form, d_even_overflow,
-    diversity_formula, ekr_bound, full_star, hm_bound, katona_bound,
-    key_ratio_holds, layer_bound, layer_bound_refined, mask_of,
-    overflow_bound, shadow_bound_check, sperner_cross_check, upper_layer_bound,
-    walk_gap_bound, walk_skip_bound, family_from_sets,
+    SetFamily, at_least, binom, complete_intersection_bound, crossover_quintic,
+    d2r_gap, d2r_upper_count, d_2r, d_even, d_even_gap, d_even_gap_closed_form,
+    d_even_overflow, diversity_formula, ekr_bound, full_star, hm_bound,
+    katona_bound, key_ratio_holds, layer_bound, layer_bound_refined, mask_of,
+    near_base_overflow, overflow_bound, shadow_bound_check, sperner_cross_check,
+    upper_layer_bound, walk_gap_bound, walk_skip_bound, family_from_sets,
 )
+from katona.constructions import _near_katona
 
 
 def test_binom():
@@ -103,6 +105,66 @@ def test_layer_bounds():
     rep = layer_bound_refined(9, 2, 3)
     assert rep.value == comb(8, 3) and rep.in_proved_regime
     assert not layer_bound_refined(9, 2, 4).in_proved_regime
+
+
+def _largest_t_intersecting(n, k, t):
+    """The largest t-intersecting family of k-subsets of [n]: a maximum
+    clique of the graph joining the k-sets that share t elements, by
+    branch and bound on bitsets."""
+    sets = [mask_of(c) for c in combinations(range(1, n + 1), k)]
+    adj = [sum(1 << j for j, b in enumerate(sets) if j != i and (a & b).bit_count() >= t)
+           for i, a in enumerate(sets)]
+    best = 0
+
+    def grow(size, cand):
+        nonlocal best
+        best = max(best, size)
+        while cand and size + cand.bit_count() > best:
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            grow(size + 1, cand & adj[v])
+    grow(0, (1 << len(sets)) - 1)
+    return best
+
+
+def test_complete_intersection_bound_is_the_largest_family():
+    triples = [(n, k, t) for n in range(1, 8) for k in range(1, n + 1)
+               for t in range(1, k + 1)]
+    assert len(triples) == 84
+    for n, k, t in triples:
+        assert complete_intersection_bound(n, k, t) == _largest_t_intersecting(n, k, t), (
+            n, k, t)
+
+
+def test_complete_intersection_bound_regimes():
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            for t in range(1, k + 1):
+                value = complete_intersection_bound(n, k, t)
+                # within the layer cap C(n, k - t) that every t-intersecting
+                # k-family meets
+                assert value <= layer_bound(n, t, k - t), (n, k, t)
+                # the t-star is extremal from n = (t + 1)(k - t + 1) on
+                if n >= (t + 1) * (k - t + 1):
+                    assert value == comb(n - t, k - t), (n, k, t)
+                # every two k-sets share 2k - n elements
+                if 2 * k - n >= t:
+                    assert value == comb(n, k), (n, k, t)
+    # between the two: the r = 1 family {F : |F & [t + 2]| >= t + 1} wins
+    assert complete_intersection_bound(10, 5, 2) == 66 > comb(8, 3)
+
+
+def test_near_base_overflow_matches_enumeration():
+    for n in range(2, 13):
+        for d in range(1, n // 2 + 1):
+            for s in range(1, d + 1):
+                fam = _near_katona(n, 2 * d, s)
+                assert near_base_overflow(n, d, s) == len(at_least(fam, d + 1)), (n, d, s)
+            # s = 1 is the paper's C(n - 2, d - 1), s = 2 the base-[4] family
+            assert near_base_overflow(n, d, 1) == comb(n - 2, d - 1)
+            if d >= 2:
+                assert near_base_overflow(n, d, 2) == d_even_overflow(n, d)
+    assert [near_base_overflow(10, 4, s) for s in range(1, 5)] == [56, 81, 95, 93]
 
 
 def test_refined_layer_bound_on_small_families():

@@ -16,12 +16,12 @@ from hypothesis import given, strategies as st
 
 from katona import (
     CapExceeded, SearchCertificate, SearchOptions, SetFamily, at_least,
-    b_family, ball, d_even, d_even_overflow, d_odd5, diameter,
-    diametral_overflow, down_closure, elements_of, family_from_sets, g_family,
-    is_complex, is_initial, layer_bound,
+    b_family, ball, complete_intersection_bound, d_2r, d_even, d_even_overflow,
+    d_odd5, diameter, diametral_overflow, down_closure, elements_of,
+    family_from_sets, g_family, is_complex, is_initial, layer_bound,
     katona, katona_bound, katona_overflow_of, make_initial, maximize,
-    overflow_even_of, overflow_odd_of, recheck, mask_of, search, triangle,
-    verify_hilton,
+    near_base_overflow, overflow_even_of, overflow_odd_of, recheck, mask_of,
+    search, triangle, verify_hilton,
 )
 from helpers import random_family, random_u_union_family
 
@@ -301,15 +301,17 @@ def test_seeds_are_initial_rungs_valued_at_their_first_anchor():
                     == search._first_count(obj, inst, fam.members)), (name, inst)
             seeds += 1
     assert seeds > 300
-    # the rungs are the named constructions
+    # the rungs are the named constructions: the Katona family for the
+    # counting objectives, the near-base rungs s = 1..d for the overflows
     seeds_of = lambda name, **params: search.OBJECTIVES[name].seeds(
         search._instance(search.OBJECTIVES[name], params))
     assert seeds_of("max_union_size", n=9, u=5) == [katona(9, 5)]
-    assert seeds_of("overflow_even", n=10, d=3) == [b_family(10, 3), d_even(10, 3)]
+    assert seeds_of("overflow_even", n=10, d=3) == [
+        b_family(10, 3), d_even(10, 3), d_2r(10, 3)]
     assert seeds_of("overflow_even", n=6, d=1) == [b_family(6, 1)]
-    assert seeds_of("overflow_odd", n=9, d=2) == [g_family(9, 2)]
-    assert seeds_of("diametral_overflow", n=8, u=4) == [b_family(8, 2)]
-    assert seeds_of("diametral_overflow", n=8, u=5) == [g_family(8, 2)]
+    assert seeds_of("overflow_odd", n=9, d=2) == [g_family(9, 2), d_odd5(9, 2)]
+    assert seeds_of("diametral_overflow", n=8, u=4) == [b_family(8, 2), d_even(8, 2)]
+    assert seeds_of("diametral_overflow", n=8, u=5) == [g_family(8, 2), d_odd5(8, 2)]
     assert seeds_of("diametral_overflow", n=8, u=1) == []
     assert seeds_of("diversity", n=9, k=3) == [triangle(9, 3)]
 
@@ -341,12 +343,15 @@ def test_needs_are_predecessors_and_one_shadow_member():
 
 def test_layer_caps_are_layer_bound():
     # layer k of a u-union family is (2k - u)-intersecting, so its initial
-    # cap is C(n, u - k); as u < n, that is below C(n, k), the level's size
+    # cap is the complete intersection maximum, at most C(n, u - k); as
+    # u < n, that is below C(n, k), the level's size
     for name, obj, _, inst in _instances(12):
         n, u = inst.n, inst.u
         caps0 = search._LayeredDFS(obj, inst, True).caps0
-        assert caps0 == [layer_bound(n, 2 * k - u, u - k) for k in inst.levels], name
-        assert all(c < comb(n, k) for c, k in zip(caps0, inst.levels)), (name, inst)
+        assert caps0 == [complete_intersection_bound(n, k, 2 * k - u)
+                         for k in inst.levels], name
+        for c, k in zip(caps0, inst.levels):
+            assert c <= layer_bound(n, 2 * k - u, u - k) < comb(n, k), (name, inst)
 
 
 def test_walk_caps_example():
@@ -389,7 +394,7 @@ def _initial_families(n, k):
 def test_layer_caps_hold_on_every_initial_family(n):
     # every prune rests on these caps: an initial k-uniform family that
     # misses a walk-cap staircase has at most the cap members, and a
-    # t-intersecting one at most C(n, k - t)
+    # t-intersecting one at most the complete intersection maximum
     seen = {}
     for k in range(1, n):
         sets, families = _initial_families(n, k)
@@ -400,7 +405,7 @@ def test_layer_caps_hold_on_every_initial_family(n):
             for i, cap in walk:
                 assert fam >> i & 1 or size <= cap, (n, k, sets[i], fam)
             for t in range(1, meet + 1):
-                assert size <= comb(n, k - t), (n, k, t, fam)
+                assert size <= complete_intersection_bound(n, k, t), (n, k, t, fam)
         assert seen[k] > comb(n, k)        # at least every lex initial segment
     if n == 8:
         assert (seen[3], seen[4]) == (2431, 9304)
@@ -507,7 +512,7 @@ RESTRICTED_NODES = {
     ("overflow_odd", 5, 1): 13, ("overflow_odd", 7, 2): 285,
     ("diversity", 7, 2): 15, ("diversity", 7, 3): 142,
     ("diametral_overflow", 5, 2): 3, ("diametral_overflow", 6, 3): 15,
-    ("overflow_odd", 9, 2): 895, ("diametral_overflow", 8, 5): 522,
+    ("overflow_odd", 9, 2): 893, ("diametral_overflow", 8, 5): 521,
 }
 
 
@@ -590,23 +595,23 @@ def test_kleitman_consistency_small():
 
 # default (layered) runs: optimum, maximizer count, witness and node count
 LAYERED_PINS = [
-    ("max_union_size", {"n": 6, "u": 4}, 22, 1, katona(6, 4), 11),
+    ("max_union_size", {"n": 6, "u": 4}, 22, 1, katona(6, 4), 6),
     ("overflow_even", {"n": 9, "d": 2}, 7, 1, b_family(9, 2), 18),
     ("upper_layers", {"n": 7, "u": 4}, 21, 1, katona(7, 4), 3),
     # two maximizers: the witness is the one with the smaller canonical key
-    ("overflow_even", {"n": 11, "d": 3}, 36, 2, b_family(11, 3), 1626),
+    ("overflow_even", {"n": 11, "d": 3}, 36, 2, b_family(11, 3), 1498),
     # every free set counts, so including a member kills free sets
-    ("max_union_size", {"n": 9, "u": 5}, 74, 1, katona(9, 5), 465),
+    ("max_union_size", {"n": 9, "u": 5}, 74, 1, katona(9, 5), 461),
     # the perfbench ladder rungs, where the walk caps cut at large N
-    ("overflow_even", {"n": 12, "d": 3}, 45, 1, b_family(12, 3), 2483),
+    ("overflow_even", {"n": 12, "d": 3}, 45, 1, b_family(12, 3), 2455),
     ("overflow_even", {"n": 13, "d": 3}, 55, 1, b_family(13, 3), 4094),
     ("overflow_even", {"n": 14, "d": 3}, 66, 1, b_family(14, 3), 6929),
-    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 299),
+    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 20),
     ("upper_layers", {"n": 11, "u": 5}, 45, 1, katona(11, 5), 1479),
-    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 299),
+    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 20),
     # four constrained levels (4..7): a prune in a later level relies on
     # each finished level's count being within its cap
-    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 609462),
+    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 301005),
 ]
 
 
@@ -805,9 +810,10 @@ def test_zero_time_limit_stops_after_setup():
 
 
 def test_deadline_stops_the_search_mid_tree():
-    # (12, 4) is unproven in seconds, so a 0.3 s limit stops the DFS after
-    # many nodes; the call still returns promptly with a rechecked seed bound
-    cert = maximize("overflow_even", {"n": 12, "d": 4}, SearchOptions(time_limit=0.3))
+    # (12, 5) stays unproven after minutes of search, so a 0.3 s limit
+    # stops the DFS after many nodes; the call still returns promptly with
+    # a rechecked seed bound
+    cert = maximize("overflow_even", {"n": 12, "d": 5}, SearchOptions(time_limit=0.3))
     assert cert.timed_out and not cert.proven_optimal
     assert cert.maximizers is None and cert.nodes_explored > 0
     assert cert.elapsed_ms < 2000
@@ -915,16 +921,31 @@ def test_search_options_validation():
     assert SearchOptions(time_limit=0, workers=1).time_limit == 0
 
 
-def test_overflow_even_10_4_certificate():
-    # the d = 4 rung, proven in 4 774 786 nodes: the base-[4] family is not
-    # optimal there
-    path = Path(__file__).parent / "data" / "overflow_even_10_4.json"
+def _committed_certificate(n, d):
+    """The committed overflow_even (n, d) certificate, proven and rechecked."""
+    path = Path(__file__).parent / "data" / f"overflow_even_{n}_{d}.json"
     cert = SearchCertificate.from_json_dict(json.loads(path.read_text()))
-    assert (cert.objective, cert.params) == ("overflow_even", {"n": 10, "d": 4})
+    assert (cert.objective, cert.params) == ("overflow_even", {"n": n, "d": d})
     assert cert.proven_optimal and not cert.timed_out
-    assert cert.nodes_explored == 4_774_786
-    assert cert.optimum == 95 > d_even_overflow(10, 4) == 81
     assert recheck(cert)
+    return cert
+
+
+def test_overflow_even_10_4_certificate():
+    # the d = 4 rung, proven in 822 893 nodes: the base-[4] family is not
+    # optimal there, the base-[6] rung is
+    cert = _committed_certificate(10, 4)
+    assert cert.nodes_explored == 822_893
+    assert cert.optimum == 95 > d_even_overflow(10, 4) == 81
+    assert cert.optimum == near_base_overflow(10, 4, 3)
+
+
+def test_overflow_even_11_4_certificate():
+    # proven in 7 135 216 nodes; the witness is stored as hex masks.  The
+    # optimum is the best near-base rung's overflow, the base-[6] rung's
+    cert = _committed_certificate(11, 4)
+    assert cert.nodes_explored == 7_135_216
+    assert cert.optimum == 117 == max(near_base_overflow(11, 4, s) for s in range(1, 5))
 
 
 def test_recheck_rejects_tampering():
