@@ -20,7 +20,9 @@ if one fails.
 change that may move only node counts: it lists every record whose
 certificate differs in a field other than `nodes`, or that only one file
 holds, and exits 1 if there is any.  Records timed out in either file are
-skipped, and named and counted on stderr.  Grids written with
+skipped, and named and counted on stderr.  It also prints each file's
+total `nodes` and how many records moved theirs, so a change that moves
+the search tree reports it from this one command.  Grids written with
 `--unrestricted` are compared this way and never with `cmp`: two of their
 runs end near the time limit, the pruned `max_union_size` (7,6) and the
 unpruned `upper_layers` (7,6), so on a loaded host the same build times
@@ -100,11 +102,17 @@ def _without_nodes(record):
     return {**record, "certificate": cert}
 
 
+def _nodes(record):
+    return record.get("certificate", {}).get("nodes")
+
+
 def diff(old_path, new_path) -> int:
-    """Print the records that differ other than in `nodes`; 1 if any do."""
+    """Print the records that differ other than in `nodes`, each file's
+    total `nodes` and the number of records whose `nodes` moved; 1 if any
+    record differs."""
     old, new = _keyed(old_path), _keyed(new_path)
     keys = sorted(old.keys() | new.keys())
-    differ = skipped = 0
+    differ = skipped = moved = 0
     for key in keys:
         a, b = old.get(key), new.get(key)
         if a is not None and b is not None:
@@ -112,6 +120,7 @@ def diff(old_path, new_path) -> int:
                 skipped += 1
                 print(f"skipped as timed out: {' '.join(key)}", file=sys.stderr)
                 continue
+            moved += _nodes(a) != _nodes(b)
             a, b = _without_nodes(a), _without_nodes(b)
             if a == b:
                 continue
@@ -119,6 +128,9 @@ def diff(old_path, new_path) -> int:
         print(f"{' '.join(key)}: {a} -> {b}")
     print(f"{differ} of {len(keys)} records differ other than "
           f"in nodes ({skipped} skipped as timed out)", file=sys.stderr)
+    totals = [sum(_nodes(r) or 0 for r in f.values()) for f in (old, new)]
+    print(f"nodes {totals[0]} -> {totals[1]}, {moved} records moved",
+          file=sys.stderr)
     return 1 if differ else 0
 
 

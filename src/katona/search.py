@@ -26,8 +26,9 @@ Two engines back `maximize`:
   order whose shadow lies in the layer below.  The kernel, `_LayeredDFS`,
   runs the union rule for every objective, on int bitsets, and values a
   leaf, an initial complex, by its count at the first anchor.  Pruning
-  uses only closed-form caps, each layer's complete intersection maximum
-  and the gap/skip walk bounds, so disabling pruning never changes the
+  uses one closed-form cap per level: layer k is t-intersecting for
+  t = 2k - u, so it has at most the complete intersection maximum of
+  t-intersecting k-families, and disabling pruning never changes the
   optimum.  The overflow objectives start from the best near-base rung,
   s = 1..d, as the seed.
 
@@ -53,16 +54,16 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .core import (
     ALGEBRAIC_CAP, CapExceeded, SEARCH_CAP, SetFamily, family_from_json_dict,
     family_to_json_dict, is_diameter_at_most, is_t_intersecting, is_u_union,
-    mask_key, mask_of,
+    mask_key,
 )
-from .bounds import complete_intersection_bound, walk_gap_bound, walk_skip_bound
+from .bounds import complete_intersection_bound
 from . import constructions as cons
 
 _EXHAUSTIVE_POOL_CAP = 600
@@ -485,17 +486,6 @@ class _Incumbent:
 # ---------------------------------------------------------------------------
 # layered initial-complex engine
 
-def _walk_caps(n: int, k: int) -> dict[int, int]:
-    """Mask -> the walk cap of each missing k-set staircase in [n]: the gap
-    sets (1..p, p+2, ..., 2k-p), p < k, with `walk_gap_bound`, and the skip
-    sets (p, p+2, ..., p+2k-2), 3 <= p < k, with `walk_skip_bound`; the skip
-    set p = 2 is the gap set p = 0, with the same cap C(n, k - 1)."""
-    stairs = [((*range(1, p + 1), *range(p + 2, 2 * k - p + 1, 2)), walk_gap_bound, p)
-              for p in range(k)]
-    stairs += [(range(p, p + 2 * k - 1, 2), walk_skip_bound, p) for p in range(3, k)]
-    return {mask_of(els): bound(n, k, p) for els, bound, p in stairs if els[-1] <= n}
-
-
 _CANDIDATE_CAP = 20_000
 
 
@@ -587,9 +577,9 @@ class _LayeredDFS:
     the union rule `_UNION.meet` on j's first inclusion: every family the
     engine covers is u-union (`_Instance`).
     `blocked` is the OR of `incompat` over the included members, so a set
-    is compatible with all of them exactly when its bit is clear.  A
-    level's initial cap, `caps0`, is the complete intersection maximum of
-    its layer, which is t-intersecting for t = 2k - u (`prune`).
+    is compatible with all of them exactly when its bit is clear.  Each
+    level has one cap, `caps0`: the complete intersection maximum of its
+    layer, which is t-intersecting for t = 2k - u (`prune`).
 
     A candidate m = {a1 < ... < ak} needs its immediate predecessors and,
     above the lowest level, m minus a1: the levels are down-sets, and every
@@ -600,27 +590,22 @@ class _LayeredDFS:
 
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
-    way the child starts at j + 1.  The path keeps the cap of one level,
-    the branch level `cl`, and `count`, its members there; a j in a later
-    level starts that level afresh.  The special (gap/skip) candidates of
-    j's level in [pos, j), read from the prefix count `nspec`, and an
-    excluded special j lower `cap`; a leaf lowers none.  With li pos's
-    level, b(pos) = alive_n + len(stack) + min(room, ends[li] - pos) +
-    tail[li]: the counted free sets outside `blocked`, the included
-    members, what pos's level can still add (room is cap - count at `cl`,
-    the initial cap after it) and the initial caps of the levels after it
-    (they hold no member and passed no special).  A finished level's count
-    is within its cap (`prune`), so b is the sum over levels of min(cap,
-    count + candidates left from pos), which never rises as pos grows or a
-    cap falls: one prune(j) cuts whatever a check after each special s < j
-    would, a leaf's (j = N) is its own check, and when prune(j) cuts the
-    include child, b(j + 1) <= b(j) cuts the exclude child too.  The stack
-    has one frame per included j: (j, `cap` at j's node, and `count`,
-    `blocked`, `avail` and alive_n before j); the frames are the only
-    record of the path, and a leaf reads its members from them.  An
-    exclude child shares its parent's frame; unwinding pops a frame,
-    restores its values, sets `cl` to j's level, lowers `cap` if j is
-    special, gives back j's `missing` counts and tries j's exclude child.
+    way the child starts at j + 1.  The path keeps the branch level `cl`
+    and `count`, its members there; a j in a later level starts that level
+    afresh.  With li pos's level, b(pos) = alive_n + len(stack) +
+    min(room, ends[li] - pos) + tail[li]: the counted free sets outside
+    `blocked`, the included members, what pos's level can still add (room
+    is caps0[li] - count at `cl`, caps0[li] after it) and the caps of the
+    levels after it, which hold no member.  A finished level's count is
+    within its cap (`prune`), so b is the sum over levels of min(cap,
+    count + candidates left from pos), which never rises as pos grows: a
+    leaf (j = N) is its own check, and when prune(j) cuts the include
+    child, b(j + 1) <= b(j) cuts the exclude child too.  The stack has one
+    frame per included j: (j, then `count`, `blocked`, `avail` and alive_n
+    before j); the frames are the only record of the path, and a leaf
+    reads its members from them.  An exclude child shares its parent's
+    frame; unwinding pops a frame, restores its values, sets `cl` to j's
+    level, gives back j's `missing` counts and tries j's exclude child.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -636,7 +621,6 @@ class _LayeredDFS:
         self.ends: list[int] = []          # where each level's indices end
         self.missing0: list[int] = []
         self.caps0: list[int] = []
-        self.special_cap: dict[int, int] = {}    # index -> gap/skip cap
         self.has = [0] * n
         self.counted = 0                   # free sets counted at the first anchor
         self.counted_candidates = 0        # and the candidates counted there
@@ -662,9 +646,6 @@ class _LayeredDFS:
             self.level_of += [li] * len(level)
             self.ends.append(len(self.masks))
         self.index = dict(zip(self.masks[:self.N], range(self.N)))
-        for k in inst.levels:
-            for m, c in _walk_caps(n, k).items():
-                self.special_cap[self.index[m]] = c
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
@@ -687,37 +668,33 @@ class _LayeredDFS:
         """Offer every leaf the bounds leave open to the incumbent; return
         the nodes entered and whether the deadline stopped the search."""
         N, masks, level_of, free = self.N, self.masks, self.level_of, self.free
-        deps, incompat, special_cap = self.deps, self.incompat, self.special_cap
-        counted, use_pruning, ends = self.counted, self.use_pruning, self.ends
+        deps, incompat, counted = self.deps, self.incompat, self.counted
+        use_pruning, ends = self.use_pruning, self.ends
         counted_candidates, caps0 = self.counted_candidates, self.caps0
-        # the gap/skip caps ascending by index, nspec[p] of them below index p
-        spec_caps = [special_cap[p] for p in sorted(special_cap)]
-        nspec = list(accumulate((p in special_cap for p in range(N)), initial=0))
         # pos's level (N's is the last), and the constant that the levels
-        # after a level add: their initial caps, never above their sizes
+        # after a level add: their caps, never above their sizes
         level_at = level_of + [len(ends) - 1]
         tail = [sum(caps0[li + 1:]) for li in range(len(ends))]
-        cl, cap, count = 0, caps0[0], 0    # the branch level, its cap and members
+        cl = count = 0                     # the branch level and its members
         missing = list(self.missing0)
         blocked = 0                        # sets incompatible with an included member
         avail = 1                          # ready candidates outside `blocked`: [k] alone
         alive_n = counted.bit_count()      # counted free sets outside `blocked`
-        stack = []              # (j, cap, count, blocked, avail, alive_n) at j's node
+        stack = []              # (j, count, blocked, avail, alive_n) at j's node
 
         def prune(pos: int) -> bool:
             """Cut when b(pos) is below the incumbent.  A level before pos's
-            adds just its count: its members L, an initial k-family, are
-            t-intersecting, t = 2k - u, and miss each staircase passed.  By
+            adds just its count: its members L, k-sets of a u-union family,
+            are t-intersecting, as |A & B| = 2k - |A | B| >= 2k - u = t.  By
             the complete intersection theorem (Ahlswede and Khachatrian,
-            1997), |L| <= max_r |{F : |F & [t + 2r]| >= t + r}|
-            (`complete_intersection_bound`, at most `layer_bound`'s
-            C(n, u - k)), and |L| <= each missing staircase's walk cap, that
-            is count <= cap."""
+            1997), |L| <= max over 0 <= r <= (n - t)/2 of
+            |{F : |F & [t + 2r]| >= t + r}| (`complete_intersection_bound`,
+            at most `layer_bound`'s C(n, u - k)), that is count <= caps0[li]."""
             if not use_pruning:
                 return False
             li = level_at[pos]
-            # a level after `cl` holds no member and passed no special
-            room, left = cap - count if li == cl else caps0[li], ends[li] - pos
+            # a level after `cl` holds no member
+            room, left = caps0[li] - (count if li == cl else 0), ends[li] - pos
             return (alive_n + len(stack) + (room if room < left else left)
                     + tail[li] < incumbent.value)
 
@@ -729,15 +706,8 @@ class _LayeredDFS:
             nodes += 1
             open_ = avail >> pos
             j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-            if j < N:
-                # lower j's level's cap at its specials in [pos, j)
-                i = nspec[pos]
-                if level_of[j] != cl:      # a later level, 1 or above, starts afresh
-                    cl, cap, count = level_of[j], caps0[level_of[j]], 0
-                    i = max(i, nspec[ends[cl - 1]])
-                for c in spec_caps[i:nspec[j]]:
-                    if c < cap:
-                        cap = c
+            if j < N and level_of[j] != cl:    # a later level starts afresh
+                cl, count = level_of[j], 0
             if j == N and len(stack) + alive_n >= incumbent.value:
                 # a leaf: its members (one per frame) and the free sets
                 # outside `blocked`; the incumbent ignores lower values
@@ -756,7 +726,7 @@ class _LayeredDFS:
                     missing[t] -= 1
                     if not missing[t]:
                         newly |= 1 << t
-                stack.append((j, cap, count, blocked, avail, alive_n))
+                stack.append((j, count, blocked, avail, alive_n))
                 inc = incompat[j]
                 if inc is None:
                     inc = incompat[j] = self.incompat_row(masks[j])
@@ -770,10 +740,10 @@ class _LayeredDFS:
                     continue
             # unwind to the first included j whose exclude child is open
             while stack:
-                j, cap, count, blocked, avail, alive_n = stack.pop()
+                j, count, blocked, avail, alive_n = stack.pop()
                 for t in deps[j]:
                     missing[t] += 1
-                cl, cap = level_of[j], min(cap, special_cap.get(j, cap))
+                cl = level_of[j]
                 if not prune(j + 1):
                     break
             else:

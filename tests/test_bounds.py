@@ -86,6 +86,20 @@ def test_walk_bounds():
         walk_skip_bound(6, 3, 1)
 
 
+def test_walk_caps_example():
+    # the 4-sets of [9]: the gap staircases (1..p, p+2, ..., 8-p), p < 4,
+    # have caps C(9, 3-p), and the skip staircase (3, 5, 7, 9) has
+    # C(9, 4) - C(8, 4) + C(8, 3) = 126 - 70 + 56
+    assert [walk_gap_bound(9, 4, p) for p in range(4)] == [84, 36, 9, 1]
+    assert walk_skip_bound(9, 4, 3) == 112
+    # a staircase must fit in [n]: (2,4,6,8) and (3,5,7,9) drop out at n = 7,
+    # and (1,3,5,7), (1,2,4,6) and (1,2,3,5) stay
+    assert [walk_gap_bound(7, 4, p) for p in (1, 2, 3)] == [21, 7, 1]
+    for bound, p in ((walk_gap_bound, 0), (walk_skip_bound, 3)):
+        with pytest.raises(ValueError):
+            bound(7, 4, p)
+
+
 @pytest.mark.parametrize("bound,args,shown", [
     (overflow_bound, (1, 2), "u=2, n=1"),
     (upper_layer_bound, (0, 3), "u=3, n=0"),

@@ -21,7 +21,7 @@ from katona import (
     family_from_sets, g_family, is_complex, is_initial, layer_bound,
     katona, katona_bound, katona_overflow_of, make_initial, maximize,
     near_base_overflow, overflow_even_of, overflow_odd_of, recheck, mask_of,
-    search, triangle, verify_hilton,
+    search, triangle, verify_hilton, walk_gap_bound, walk_skip_bound,
 )
 from helpers import random_family, random_u_union_family
 
@@ -354,20 +354,6 @@ def test_layer_caps_are_layer_bound():
             assert c <= layer_bound(n, 2 * k - u, u - k) < comb(n, k), (name, inst)
 
 
-def test_walk_caps_example():
-    # the 4-sets of [9]: gap sets (1..p, p+2, ..., 8-p) for p < 4 with cap
-    # C(9, 3-p), and the skip set (p, p+2, p+4, p+6) for p = 3, with cap
-    # 126 - 70 + 56; the skip set p = 2, (2,4,6,8), is the gap set p = 0
-    # with the same cap C(9, 3), so the skips start at p = 3
-    assert search._walk_caps(9, 4) == {
-        mask_of((2, 4, 6, 8)): 84, mask_of((1, 3, 5, 7)): 36,
-        mask_of((1, 2, 4, 6)): 9, mask_of((1, 2, 3, 5)): 1,
-        mask_of((3, 5, 7, 9)): 112}
-    # a staircase must fit in [n]: (3,5,7,9) and (2,4,6,8) drop out at n = 7
-    assert search._walk_caps(7, 4) == {
-        mask_of((1, 3, 5, 7)): 21, mask_of((1, 2, 4, 6)): 7, mask_of((1, 2, 3, 5)): 1}
-
-
 def _initial_families(n, k):
     """Every initial k-uniform family on [n], a down-set of the elementary
     moves j -> j - 1, as (member count, min |A & B| over its pairs, the
@@ -390,15 +376,26 @@ def _initial_families(n, k):
     return sets, grow(0, [], k)
 
 
+def _staircases(n, k):
+    """The k-set staircases that fit in [n], with their walk caps: the gap
+    sets (1..p, p+2, ..., 2k-p), p < k, and the skip sets (p, p+2, ...,
+    p+2k-2), 3 <= p < k; the skip set p = 2 is the gap set p = 0."""
+    stairs = [((*range(1, p + 1), *range(p + 2, 2 * k - p + 1, 2)), walk_gap_bound, p)
+              for p in range(k)]
+    stairs += [(range(p, p + 2 * k - 1, 2), walk_skip_bound, p) for p in range(3, k)]
+    return [(mask_of(els), bound(n, k, p)) for els, bound, p in stairs if els[-1] <= n]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_layer_caps_hold_on_every_initial_family(n):
-    # every prune rests on these caps: an initial k-uniform family that
-    # misses a walk-cap staircase has at most the cap members, and a
-    # t-intersecting one at most the complete intersection maximum
+    # every prune rests on the layer cap: a t-intersecting initial k-uniform
+    # family has at most the complete intersection maximum; and the paper's
+    # random walk caps hold: one that misses a gap or skip staircase has at
+    # most that staircase's walk cap
     seen = {}
     for k in range(1, n):
         sets, families = _initial_families(n, k)
-        walk = [(sets.index(m), cap) for m, cap in search._walk_caps(n, k).items()]
+        walk = [(sets.index(m), cap) for m, cap in _staircases(n, k)]
         seen[k] = 0
         for size, meet, fam in families:
             seen[k] += 1
@@ -509,10 +506,10 @@ RESTRICTED_PINS = [
 
 # nodes_explored of each pin, by (objective, n, second parameter)
 RESTRICTED_NODES = {
-    ("overflow_odd", 5, 1): 13, ("overflow_odd", 7, 2): 285,
-    ("diversity", 7, 2): 15, ("diversity", 7, 3): 142,
+    ("overflow_odd", 5, 1): 13, ("overflow_odd", 7, 2): 287,
+    ("diversity", 7, 2): 15, ("diversity", 7, 3): 143,
     ("diametral_overflow", 5, 2): 3, ("diametral_overflow", 6, 3): 15,
-    ("overflow_odd", 9, 2): 893, ("diametral_overflow", 8, 5): 521,
+    ("overflow_odd", 9, 2): 901, ("diametral_overflow", 8, 5): 523,
 }
 
 
@@ -595,28 +592,31 @@ def test_kleitman_consistency_small():
 
 # default (layered) runs: optimum, maximizer count, witness and node count
 LAYERED_PINS = [
-    ("max_union_size", {"n": 6, "u": 4}, 22, 1, katona(6, 4), 6),
-    ("overflow_even", {"n": 9, "d": 2}, 7, 1, b_family(9, 2), 18),
-    ("upper_layers", {"n": 7, "u": 4}, 21, 1, katona(7, 4), 3),
+    ("max_union_size", {"n": 6, "u": 4}, 22, 1, katona(6, 4), 7),
+    ("overflow_even", {"n": 9, "d": 2}, 7, 1, b_family(9, 2), 19),
+    ("upper_layers", {"n": 7, "u": 4}, 21, 1, katona(7, 4), 4),
     # two maximizers: the witness is the one with the smaller canonical key
-    ("overflow_even", {"n": 11, "d": 3}, 36, 2, b_family(11, 3), 1498),
+    ("overflow_even", {"n": 11, "d": 3}, 36, 2, b_family(11, 3), 1535),
     # every free set counts, so including a member kills free sets
-    ("max_union_size", {"n": 9, "u": 5}, 74, 1, katona(9, 5), 461),
-    # the perfbench ladder rungs, where the walk caps cut at large N
-    ("overflow_even", {"n": 12, "d": 3}, 45, 1, b_family(12, 3), 2455),
-    ("overflow_even", {"n": 13, "d": 3}, 55, 1, b_family(13, 3), 4094),
-    ("overflow_even", {"n": 14, "d": 3}, 66, 1, b_family(14, 3), 6929),
-    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 20),
-    ("upper_layers", {"n": 11, "u": 5}, 45, 1, katona(11, 5), 1479),
-    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 20),
+    ("max_union_size", {"n": 9, "u": 5}, 74, 1, katona(9, 5), 479),
+    # the perfbench ladder rungs
+    ("overflow_even", {"n": 12, "d": 3}, 45, 1, b_family(12, 3), 2495),
+    ("overflow_even", {"n": 13, "d": 3}, 55, 1, b_family(13, 3), 4139),
+    ("overflow_even", {"n": 14, "d": 3}, 66, 1, b_family(14, 3), 6979),
+    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 21),
+    ("upper_layers", {"n": 11, "u": 5}, 45, 1, katona(11, 5), 1503),
+    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 21),
     # four constrained levels (4..7): a prune in a later level relies on
     # each finished level's count being within its cap
-    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 301005),
+    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 377447),
 ]
 
 
+# each row's id names its instance, not its node count, so a change that
+# moves the search tree keeps the ids
 @pytest.mark.parametrize("objective,params,optimum,maximizers,witness,nodes",
-                         LAYERED_PINS)
+                         LAYERED_PINS, ids=[f"{o}-{'-'.join(map(str, p.values()))}"
+                                            for o, p, *_ in LAYERED_PINS])
 def test_layered_results_pinned(objective, params, optimum, maximizers, witness,
                                 nodes):
     cert = maximize(objective, params)
@@ -844,7 +844,7 @@ def test_seed_valuation_reads_one_center():
     cert = maximize("diametral_overflow", {"n": 18, "u": 4},
                     SearchOptions(restrict_to_initial_complexes=True))
     assert time.monotonic() - t0 < 0.5
-    assert (cert.optimum, cert.nodes_explored, cert.maximizers) == (16, 36, 1)
+    assert (cert.optimum, cert.nodes_explored, cert.maximizers) == (16, 37, 1)
     assert not cert.timed_out and not cert.proven_optimal
     assert recheck(cert)
 
@@ -932,19 +932,19 @@ def _committed_certificate(n, d):
 
 
 def test_overflow_even_10_4_certificate():
-    # the d = 4 rung, proven in 822 893 nodes: the base-[4] family is not
+    # the d = 4 rung, proven in 851 175 nodes: the base-[4] family is not
     # optimal there, the base-[6] rung is
     cert = _committed_certificate(10, 4)
-    assert cert.nodes_explored == 822_893
+    assert cert.nodes_explored == 851_175
     assert cert.optimum == 95 > d_even_overflow(10, 4) == 81
     assert cert.optimum == near_base_overflow(10, 4, 3)
 
 
 def test_overflow_even_11_4_certificate():
-    # proven in 7 135 216 nodes; the witness is stored as hex masks.  The
+    # proven in 7 223 199 nodes; the witness is stored as hex masks.  The
     # optimum is the best near-base rung's overflow, the base-[6] rung's
     cert = _committed_certificate(11, 4)
-    assert cert.nodes_explored == 7_135_216
+    assert cert.nodes_explored == 7_223_199
     assert cert.optimum == 117 == max(near_base_overflow(11, 4, s) for s in range(1, 5))
 
 
@@ -990,13 +990,17 @@ def test_recheck_of_a_large_diameter_witness():
 
 def test_certificate_grid_pinned(tmp_path):
     """The restricted certificate grid, `nodes` included, has the committed
-    digest: a change that moves the layered search tree fails here."""
+    digest: a change that moves the layered search tree fails here.  The
+    grid also passes `--oracle`, so a re-derived digest can only pin pruned
+    records equal to their unpruned twins in every field but `nodes`."""
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "grid.json"
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    run = subprocess.run([sys.executable, str(root / "scripts" / "certificate_grid.py"),
-                          "--out", str(out)], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    for mode in ("--out", "--oracle"):
+        run = subprocess.run(
+            [sys.executable, str(root / "scripts" / "certificate_grid.py"), mode, str(out)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
     digest = (root / "tests" / "data" / "certificate_grid.sha256").read_text().split()[0]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
