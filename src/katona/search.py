@@ -42,9 +42,11 @@ Two engines back `maximize`:
   roots it starts at, are justified in `_exhaustive`; pruned `nodes` can
   differ from a full enumeration's, the optimum and witness cannot.
 
-Certificates carry one witness (smallest canonical encoding among the
-maximizers found), the exact optimum, and enough metadata to be re-checked
-by code that never touches the search internals.
+Both engines index their sets by size, then in colex (ascending mask) order
+(`_index_space`), the canonical key order.  Certificates carry one witness
+(smallest canonical key among the maximizers found), the exact optimum, and
+enough metadata to be re-checked by code that never touches the search
+internals.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -472,8 +474,9 @@ class _Incumbent:
 
     def offer(self, value: int, masks: Sequence[int]) -> bool:
         """Count a family whose value is at least the incumbent's, which the
-        caller checks first; True if it is the witness."""
-        key = tuple(sorted(map(mask_key, masks)))
+        caller checks first; True if it is the witness.  The caller lists
+        `masks` in canonical key order, as both engines' index spaces are."""
+        key = tuple(map(mask_key, masks))
         if value > self.value:
             self.value, self.key, self.count = value, None, 0
         self.count += 1
@@ -505,23 +508,27 @@ def _bits(x: int):
 
 @lru_cache(maxsize=64)
 def _level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The k-subsets of [n] as masks in `combinations` order, and for each
-    element x in [0, n) the bitset of those that contain x.
+    """The k-subsets of [n] as masks in colex order (ascending mask), and
+    for each element x in [0, n) the bitset of those that contain x.  The
+    tables are cached, so repeated searches, and the witnesses they
+    return, share one set of mask objects."""
+    level = tuple(sorted(map(sum, combinations([1 << x for x in range(n)], k))))
+    return level, tuple(_bitset(m >> x & 1 for m in level) for x in range(n))
 
-    The k-sets of {a..n-1} are those that start with a, that is {a} plus
-    the (k-1)-sets of {a+1..n-1}, followed by the k-sets of {a+1..n-1}; a
-    memoised recursion on (a, k) assembles each bitset from the two parts.
-    The tables are cached, so repeated searches, and the witnesses they
-    return, share one set of mask objects.
-    """
-    @cache
-    def has(a: int, k: int) -> tuple[int, ...]:
-        if k == 0 or k > n - a:
-            return (0,) * (n - a)
-        first = comb(n - a - 1, k - 1)
-        return ((1 << first) - 1,) + tuple(
-            p | q << first for p, q in zip(has(a + 1, k - 1), has(a + 1, k)))
-    return tuple(map(sum, combinations([1 << x for x in range(n)], k))), has(0, k)
+
+def _index_space(n: int, sizes: Iterable[int]) -> tuple[list[int], list[int], dict]:
+    """The sets of the given sizes, level by level, each level in colex
+    order (canonical key order when `sizes` ascend), with the bitsets has[x]
+    of the sets holding x and spans[k] of the k-sets (`_incompat_rows`)."""
+    masks: list[int] = []
+    has, spans = [0] * n, {}
+    for k in sizes:
+        level, level_has = _level(n, k)
+        spans[k] = ((1 << len(level)) - 1) << len(masks)
+        for x, h in enumerate(level_has):
+            has[x] |= h << len(masks)
+        masks += level
+    return masks, has, spans
 
 
 def _incompat_rows(meet: Callable[[int, int, int], int], u: int,
@@ -565,9 +572,10 @@ class _LayeredDFS:
     """The layered branch-and-bound, on int bitsets over one index space.
 
     Candidates are the sets of the constrained levels, by level and within
-    a level in `combinations` order; index i < N is one candidate.  The
-    free sets (the levels below, completed greedily at a leaf) take the
-    indices from N on, ascending by size.  `counted` and
+    a level in colex order (`_index_space`); index i < N is one candidate.
+    The free sets (the levels below, completed greedily at a leaf) take the
+    indices from N on, ascending by size, so a leaf lists its free sets,
+    then its members, in canonical key order.  `counted` and
     `counted_candidates` mark the free sets and the candidates outside the
     first anchor's extremal family.  A leaf is an initial complex, so its
     value is its count there (`Objective`), `alive_n` plus its members in
@@ -583,7 +591,8 @@ class _LayeredDFS:
 
     A candidate m = {a1 < ... < ak} needs its immediate predecessors and,
     above the lowest level, m minus a1: the levels are down-sets, and every
-    other shadow member precedes that one.  Every need has a smaller index.
+    other shadow member precedes that one.  Every need has a smaller index:
+    sliding an element down lowers the mask.
     `ready` is the bitset of the candidates whose needs are all included;
     including i counts down `missing` for the candidates in `deps[i]`
     (built on i's first inclusion) and ORs in those that become ready.
@@ -611,45 +620,30 @@ class _LayeredDFS:
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
         self.inst = inst
         self.use_pruning = use_pruning
-        n = inst.n
-        self.N = sum(comb(n, k) for k in inst.levels)
+        n, levels = inst.n, inst.levels
+        self.N = sum(comb(n, k) for k in levels)
         if self.N > _CANDIDATE_CAP:
             raise CapExceeded(
                 f"{self.N} layer candidates exceed the cap of {_CANDIDATE_CAP}")
-        self.masks: list[int] = []         # every set of the index space
-        self.level_of: list[int] = []      # index into inst.levels
-        self.ends: list[int] = []          # where each level's indices end
-        self.missing0: list[int] = []
-        self.caps0: list[int] = []
-        self.has = [0] * n
-        self.counted = 0                   # free sets counted at the first anchor
-        self.counted_candidates = 0        # and the candidates counted there
-        level_bits: dict[int, int] = {}    # size -> the level's bitset
+        # every set of the index space, has[x] and each level's bitset
+        self.masks, self.has, spans = _index_space(n, levels + inst.free_levels)
+        self.ends = [spans[k].bit_length() for k in levels]   # where each level ends
+        self.level_of = [li for li, k in enumerate(levels) for _ in range(comb(n, k))]
+        # layer k is t-intersecting, t = 2k - u (`prune`)
+        self.caps0 = [complete_intersection_bound(n, k, 2 * k - inst.u) for k in levels]
+        # the immediate predecessors, plus one shadow member above the lowest level
+        self.missing0 = [(m & ~(m << 1) & ~1).bit_count() + (m.bit_count() > levels[0])
+                         for m in self.masks[:self.N]]
+        # the sets outside the first anchor's family: free (`counted`) and candidates
         outside, a0 = obj.outside, next(iter(obj.anchors(inst)))
-        for li, k in enumerate(inst.levels + inst.free_levels):
-            start = len(self.masks)
-            level, has = _level(n, k)
-            self.masks += level
-            level_bits[k] = ((1 << len(level)) - 1) << start
-            for x, h in enumerate(has):
-                self.has[x] |= h << start
-            out = _bitset(outside(inst, a0, m) for m in level)
-            if li >= len(inst.levels):     # a free level
-                self.counted |= out << start
-                continue
-            self.counted_candidates |= out << start
-            # layer k is t-intersecting, t = 2k - u (`prune`)
-            self.caps0.append(complete_intersection_bound(n, k, 2 * k - inst.u))
-            # the immediate predecessors, plus one shadow member above the lowest level
-            self.missing0 += [(m & ~(m << 1) & ~1).bit_count() + (li > 0)
-                              for m in level]
-            self.level_of += [li] * len(level)
-            self.ends.append(len(self.masks))
+        out = _bitset(outside(inst, a0, m) for m in self.masks)
+        self.counted_candidates = out & ((1 << self.N) - 1)
+        self.counted = out ^ self.counted_candidates
         self.index = dict(zip(self.masks[:self.N], range(self.N)))
         self.free = ((1 << len(self.masks)) - 1) ^ ((1 << self.N) - 1)
         self.deps: list[list[int] | None] = [None] * self.N
         self.incompat: list[int | None] = [None] * self.N
-        self.incompat_row = _incompat_rows(_UNION.meet, inst.u, self.has, level_bits)
+        self.incompat_row = _incompat_rows(_UNION.meet, inst.u, self.has, spans)
 
     def _deps(self, j: int) -> list[int]:
         """Build deps[j], the candidates that need candidate j: its immediate
@@ -709,12 +703,13 @@ class _LayeredDFS:
             if j < N and level_of[j] != cl:    # a later level starts afresh
                 cl, count = level_of[j], 0
             if j == N and len(stack) + alive_n >= incumbent.value:
-                # a leaf: its members (one per frame) and the free sets
-                # outside `blocked`; the incumbent ignores lower values
+                # a leaf: the free sets outside `blocked`, then its members
+                # (one per frame), in index order, which is key order; the
+                # incumbent ignores lower values
                 value = alive_n + sum(counted_candidates >> f[0] & 1 for f in stack)
                 if value >= incumbent.value:
-                    incumbent.offer(value, [masks[f[0]] for f in stack]
-                                    + [masks[b] for b in _bits(free & ~blocked)])
+                    incumbent.offer(value, [masks[b] for b in _bits(free & ~blocked)]
+                                    + [masks[f[0]] for f in stack])
             elif j < N and not prune(j):
                 # include j; when prune(j) cuts it, b(j + 1) <= b(j)
                 # cuts the exclude child too
@@ -759,16 +754,14 @@ def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int], list[i
     then mask), for each anchor a the bitset of the candidates outside a's
     extremal family, and each candidate's adjacency row: the other
     candidates outside its `_incompat_rows` row (it is self-compatible)."""
-    sizes, n = obj.sizes(inst), inst.n
-    size = sum(comb(n, k) for k in sizes)
+    sizes = obj.sizes(inst)        # ascending, so the pool is in key order
+    size = sum(comb(inst.n, k) for k in sizes)
     if size > _EXHAUSTIVE_POOL_CAP:
         raise CapExceeded(
             f"exhaustive pool of {size} candidates exceeds "
             f"{_EXHAUSTIVE_POOL_CAP}; use the initial-complex search")
-    pool = sorted((m for k in sizes for m in _level(n, k)[0]), key=mask_key)
+    pool, has, spans = _index_space(inst.n, sizes)
     out = [_bitset(obj.outside(inst, a, m) for m in pool) for a in obj.anchors(inst)]
-    has = [_bitset(m >> x & 1 for m in pool) for x in range(n)]
-    spans = {k: _bitset(m.bit_count() == k for m in pool) for k in sizes}
     row = _incompat_rows(obj.relation.meet, inst.u, has, spans)
     full = (1 << size) - 1
     adj = [(full & ~row(m)) ^ 1 << i for i, m in enumerate(pool)]

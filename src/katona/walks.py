@@ -30,10 +30,14 @@ class WalkTrace:
         return self.points[-1]
 
 
+def _check_subset(mask: int, n: int) -> None:
+    if mask < 0 or mask >> n:
+        raise ValueError(f"mask {mask:#x} is not a subset of [1, {n}]")
+
+
 def walk_of_set(mask: int, n: int) -> WalkTrace:
     """Walk with step i going up iff element i is present."""
-    if mask >> n:
-        raise ValueError(f"mask {mask:#x} has elements outside [1, {n}]")
+    _check_subset(mask, n)
     x = y = 0
     pts = [(0, 0)]
     for i in range(n):
@@ -47,6 +51,7 @@ def walk_of_set(mask: int, n: int) -> WalkTrace:
 
 def hits_line(mask: int, n: int, t: int) -> bool:
     """Does the walk of the set touch y = x + t (origin and endpoint included)?"""
+    _check_subset(mask, n)
     x = y = 0
     if y == x + t:
         return True

@@ -7,12 +7,12 @@ from katona import (
     CapExceeded, ConstructionSpec, SearchCertificate, SetFamily, at_least,
     avoid, ball, complete_intersection_bound, construct, d2r_upper_count,
     d_even_gap_closed_form, d_even_overflow, diametral_overflow, ekr_bound,
-    family_from_sets, hm_bound, is_cross_t_intersecting, is_t_intersecting,
+    family_from_sets, hits_line, hm_bound, is_cross_t_intersecting, is_t_intersecting,
     is_u_union, katona, katona_bound, katona_overflow_of, katona_star, katona_x,
     key_ratio_holds, layer, layer_bound, lex_rank, lex_segment,
     make_initial_pair, maximize, near_base_overflow, overflow_even_of,
     overflow_odd_of, reflection_count, shadow, shadow_bound_check,
-    sperner_cross_check, trace, triangle,
+    sperner_cross_check, trace, triangle, walk_of_set,
 )
 from katona.core import family_to_json_dict
 
@@ -83,6 +83,10 @@ PAIRS = family_from_sets(4, [[1, 2], [3, 4]])
     (lambda: complete_intersection_bound(3, 4, 1), ValueError, ["n=3", "k=4", "t=1"]),
     (lambda: near_base_overflow(8, 2, 3), ValueError, ["d=2", "s=3"]),
     (lambda: near_base_overflow(3, 2, 2), ValueError, ["n=3", "s=2"]),
+    # a walk's set must be a subset of [1, n]
+    (lambda: hits_line(0b100, 2, 1), ValueError, ["0x4", "[1, 2]"]),
+    (lambda: hits_line(-1, 3, 2), ValueError, ["-0x1", "[1, 3]"]),
+    (lambda: walk_of_set(-1, 3), ValueError, ["-0x1", "[1, 3]"]),
 ])
 def test_guard_names_the_values(call, error, names):
     with pytest.raises(error) as info:

@@ -171,7 +171,8 @@ COUNTED_FROM = {
 
 def test_layered_bitsets_match_their_definitions():
     # the layered engine's index space holds the candidates by level, then
-    # the free sets by size, each level in `combinations` order; `has[x]`
+    # the free sets by size, each level in colex order (ascending mask), and
+    # the exhaustive pool is in canonical key order (size, then mask); `has[x]`
     # marks the sets containing x, `incompat_row` the sets whose union with
     # a candidate has more than u elements (u = 2k - 1 for the intersecting
     # objective) and `counted` the free sets of size >= COUNTED_FROM.  The
@@ -193,6 +194,10 @@ def test_layered_bitsets_match_their_definitions():
                     assert pairwise((1 << s) - 1, (1 << s) - 1, u), (obj, n, v, s)
                 if n <= 7:
                     pool, _, adj = search._pool(obj, inst)
+                    assert pool == sorted(
+                        (mask_of(c) for k in obj.sizes(inst)
+                         for c in combinations(range(1, n + 1), k)),
+                        key=search.mask_key), (obj, n, v)
                     for i, a in enumerate(pool):
                         assert adj[i] == sum(
                             1 << j for j, b in enumerate(pool)
@@ -206,9 +211,9 @@ def test_layered_bitsets_match_their_definitions():
                         assert roots == [0] and pool[0] == 0, (obj, n, v)
                 dfs = search._LayeredDFS(obj, inst, True)
                 masks = dfs.masks
-                assert masks == [sum(1 << (e - 1) for e in c)
-                                 for k in inst.levels + inst.free_levels
-                                 for c in combinations(range(1, n + 1), k)]
+                assert masks == [m for k in inst.levels + inst.free_levels
+                                 for m in sorted(mask_of(c) for c in
+                                                 combinations(range(1, n + 1), k))]
                 for x in range(n):
                     assert dfs.has[x] == sum(
                         1 << i for i, m in enumerate(masks) if m >> x & 1)
@@ -527,7 +532,8 @@ def test_restricted_results_pinned(objective, params, optimum, maximizers, witne
 
 def test_layered_offers_the_evaluator_value(monkeypatch):
     # a leaf is offered with its count at the first anchor; on every leaf
-    # that reaches the incumbent it equals `_min_outside`
+    # that reaches the incumbent it equals `_min_outside`.  Both engines
+    # offer their members in canonical key order, which `offer` relies on
     offered = []
     offer = search._Incumbent.offer
 
@@ -535,16 +541,23 @@ def test_layered_offers_the_evaluator_value(monkeypatch):
         offered.append((value, list(masks)))
         return offer(self, value, masks)
     monkeypatch.setattr(search._Incumbent, "offer", spy)
-    total = 0
-    for pruning in (True, False):
-        options = SearchOptions(restrict_to_initial_complexes=True, use_pruning=pruning)
-        for name, obj, params, inst in _instances(7):
+    # the layered engine to n = 7; the exhaustive engine pruned to n = 6,
+    # where (6,5) of the diameter objectives needs the time limit, and
+    # unpruned, offering every maximal family, to n = 4
+    runs = [(True, True, 7, None), (True, False, 7, None),
+            (False, True, 6, 0.5), (False, False, 4, None)]
+    total = {True: 0, False: 0}
+    for restricted, pruning, max_n, time_limit in runs:
+        options = SearchOptions(time_limit, restrict_to_initial_complexes=restricted,
+                                use_pruning=pruning)
+        for name, obj, params, inst in _instances(max_n):
             maximize(name, params, options)
             for value, masks in offered:
+                assert masks == sorted(masks, key=search.mask_key), (name, inst)
                 assert value == search._min_outside(obj, inst, masks)[0], (name, inst)
-            total += len(offered)
+            total[restricted] += len(offered)
             offered.clear()
-    assert total > 500
+    assert total[True] > 500 and total[False] > 500
 
 
 @pytest.mark.parametrize("n,d", [(7, 2), (8, 2), (8, 3)])
@@ -603,12 +616,12 @@ LAYERED_PINS = [
     ("overflow_even", {"n": 12, "d": 3}, 45, 1, b_family(12, 3), 2495),
     ("overflow_even", {"n": 13, "d": 3}, 55, 1, b_family(13, 3), 4139),
     ("overflow_even", {"n": 14, "d": 3}, 66, 1, b_family(14, 3), 6979),
-    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 21),
+    ("max_union_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 16),
     ("upper_layers", {"n": 11, "u": 5}, 45, 1, katona(11, 5), 1503),
-    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 21),
+    ("max_diameter_size", {"n": 10, "u": 6}, 176, 1, katona(10, 6), 16),
     # four constrained levels (4..7): a prune in a later level relies on
     # each finished level's count being within its cap
-    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 377447),
+    ("upper_layers", {"n": 9, "u": 7}, 70, 1, d_odd5(9, 3), 210784),
 ]
 
 
