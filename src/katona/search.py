@@ -42,11 +42,13 @@ Two engines back `maximize`:
   roots it starts at, are justified in `_exhaustive`; pruned `nodes` can
   differ from a full enumeration's, the optimum and witness cannot.
 
-Both engines index their sets by size, then in colex (ascending mask) order
-(`_index_space`), the canonical key order.  Certificates carry one witness
-(smallest canonical key among the maximizers found), the exact optimum, and
-enough metadata to be re-checked by code that never touches the search
-internals.
+Both engines list their sets by size, then in colex (ascending mask) order
+(`_index_space`), and hand the incumbent each searched family as a bitset
+over a space in canonical key order (size, then mask; the layered space is
+rotated, free sets first), where one rule, `_key_below`, compares keys.
+Certificates carry one witness (smallest canonical key among the maximizers
+found), the exact optimum, and enough metadata to be re-checked by code
+that never touches the search internals.
 """
 
 from __future__ import annotations
@@ -56,14 +58,12 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .core import (
     ALGEBRAIC_CAP, CapExceeded, SEARCH_CAP, SetFamily, family_from_json_dict,
     family_to_json_dict, is_diameter_at_most, is_t_intersecting, is_u_union,
-    mask_key,
 )
 from .bounds import complete_intersection_bound
 from . import constructions as cons
@@ -453,6 +453,17 @@ class SearchCertificate:
 # ---------------------------------------------------------------------------
 # the incumbent: one rule for both engines
 
+def _key_below(a: int, w: int) -> bool:
+    """Whether a has a smaller key than w, bitsets over a space in key order:
+    at the lowest index where they differ, a holds it or has nothing at or
+    above it (a proper prefix of w).  That is the order of the ascending
+    index lists, but a proper extension of w is below w too, so every a != 0
+    is below 0 (no witness), and no engine offers a family after its proper
+    prefix: exhaustive families are maximal, the layered DFS includes first."""
+    low = (a ^ w) & -(a ^ w)
+    return a & low != 0 or a < low
+
+
 class _Incumbent:
     """The best family found so far.
 
@@ -460,30 +471,28 @@ class _Incumbent:
     its count at the first anchor; the empty family, feasible for every
     objective and of value 0, is the seed of last resort.  The seed stays
     the result when no searched family reaches its value.  Among the
-    searched families of the best value, `count` counts them and the
-    witness is the one with the smallest canonical key (bit_count, mask).
+    searched families, bitsets over `space` (the engine's sets in key
+    order), `count` counts those of the best value and `key` is their
+    smallest (`_key_below`; 0 before any), whose members `masks` lists.
     """
 
-    def __init__(self, obj: Objective, inst: _Instance):
+    def __init__(self, obj: Objective, inst: _Instance, space: Sequence[int]):
         seeds = obj.seeds(inst) + [SetFamily(inst.n, ())]
         values = [_first_count(obj, inst, fam.members) for fam in seeds]
         self.value = max(values)
         self.masks = seeds[values.index(self.value)].members   # first seed on ties
-        self.key = None                # the witness's key, once a family is searched
+        self.space = space
+        self.key = 0
         self.count = 0
 
-    def offer(self, value: int, masks: Sequence[int]) -> bool:
-        """Count a family whose value is at least the incumbent's, which the
-        caller checks first; True if it is the witness.  The caller lists
-        `masks` in canonical key order, as both engines' index spaces are."""
-        key = tuple(map(mask_key, masks))
+    def offer(self, value: int, r: int) -> None:
+        """Count the family r, whose value is at least the incumbent's,
+        which the caller checks first."""
         if value > self.value:
-            self.value, self.key, self.count = value, None, 0
+            self.value, self.key, self.count = value, 0, 0
         self.count += 1
-        if self.key is None or key < self.key:
-            self.key, self.masks = key, masks
-            return True
-        return False
+        if _key_below(r, self.key):
+            self.key, self.masks = r, [self.space[i] for i in _bits(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +515,19 @@ def _bits(x: int):
         x ^= low
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The k-subsets of [n] as masks in colex order (ascending mask), and
-    for each element x in [0, n) the bitset of those that contain x.  The
-    tables are cached, so repeated searches, and the witnesses they
-    return, share one set of mask objects."""
-    level = tuple(sorted(map(sum, combinations([1 << x for x in range(n)], k))))
-    return level, tuple(_bitset(m >> x & 1 for m in level) for x in range(n))
+    for each element x in [0, n) the bitset of those that contain x: the
+    k-sets of [n - 1], then n - 1 added to the (k - 1)-sets of [n - 1].
+    The tables are cached, at most C(n + 1, k + 1) masks per k, so repeated
+    searches, and the witnesses they return, share one set of mask objects."""
+    if not 0 < k <= n:
+        return ((0,) if k == 0 else ()), (0,) * n
+    (lo, lo_has), (hi, hi_has) = _level(n - 1, k), _level(n - 1, k - 1)
+    s = len(lo)
+    has = tuple(a | b << s for a, b in zip(lo_has, hi_has))
+    return lo + tuple(m | 1 << n - 1 for m in hi), has + ((1 << len(hi)) - 1 << s,)
 
 
 def _index_space(n: int, sizes: Iterable[int]) -> tuple[list[int], list[int], dict]:
@@ -525,8 +539,7 @@ def _index_space(n: int, sizes: Iterable[int]) -> tuple[list[int], list[int], di
     for k in sizes:
         level, level_has = _level(n, k)
         spans[k] = ((1 << len(level)) - 1) << len(masks)
-        for x, h in enumerate(level_has):
-            has[x] |= h << len(masks)
+        has = [a | h << len(masks) for a, h in zip(has, level_has)]
         masks += level
     return masks, has, spans
 
@@ -574,10 +587,10 @@ class _LayeredDFS:
     Candidates are the sets of the constrained levels, by level and within
     a level in colex order (`_index_space`); index i < N is one candidate.
     The free sets (the levels below, completed greedily at a leaf) take the
-    indices from N on, ascending by size, so a leaf lists its free sets,
-    then its members, in canonical key order.  `counted` and
-    `counted_candidates` mark the free sets and the candidates outside the
-    first anchor's extremal family.  A leaf is an initial complex, so its
+    indices from N on, ascending by size; key order puts them first, so a
+    leaf is offered over `space` = masks[N:] + masks[:N], rotated.
+    `counted` and `counted_candidates` mark the free sets and the candidates
+    outside the first anchor's extremal family.  A leaf is an initial complex, so its
     value is its count there (`Objective`), `alive_n` plus its members in
     `counted_candidates`; the bound counts every candidate.  `has[x]` is
     the bitset of the sets that contain element x, and `incompat[j]` the
@@ -627,6 +640,7 @@ class _LayeredDFS:
                 f"{self.N} layer candidates exceed the cap of {_CANDIDATE_CAP}")
         # every set of the index space, has[x] and each level's bitset
         self.masks, self.has, spans = _index_space(n, levels + inst.free_levels)
+        self.space = self.masks[self.N:] + self.masks[:self.N]
         self.ends = [spans[k].bit_length() for k in levels]   # where each level ends
         self.level_of = [li for li, k in enumerate(levels) for _ in range(comb(n, k))]
         # layer k is t-intersecting, t = 2k - u (`prune`)
@@ -703,13 +717,13 @@ class _LayeredDFS:
             if j < N and level_of[j] != cl:    # a later level starts afresh
                 cl, count = level_of[j], 0
             if j == N and len(stack) + alive_n >= incumbent.value:
-                # a leaf: the free sets outside `blocked`, then its members
-                # (one per frame), in index order, which is key order; the
-                # incumbent ignores lower values
-                value = alive_n + sum(counted_candidates >> f[0] & 1 for f in stack)
+                # a leaf: the free sets outside `blocked` and its members, one
+                # per frame, rotated so that the free sets come first
+                chosen = sum(1 << f[0] for f in stack)
+                value = alive_n + (chosen & counted_candidates).bit_count()
                 if value >= incumbent.value:
-                    incumbent.offer(value, [masks[b] for b in _bits(free & ~blocked)]
-                                    + [masks[f[0]] for f in stack])
+                    incumbent.offer(value, (free & ~blocked) >> N
+                                    | chosen << len(masks) - N)
             elif j < N and not prune(j):
                 # include j; when prune(j) cuts it, b(j + 1) <= b(j)
                 # cuts the exclude child too
@@ -768,24 +782,9 @@ def _pool(obj: Objective, inst: _Instance) -> tuple[list[int], list[int], list[i
     return pool, out, adj
 
 
-def _keys_not_below(a: int, w: int) -> bool:
-    """The witness bound's test on pool bitsets: when it holds, no family F
-    within a, other than a proper subset of w, has a smaller key than w.
-
-    Keys compare as the ascending index sequences, since the pool is in key
-    order.  The i-th smallest index of F is at least that of a, so when the
-    lowest index d where a and w differ is in w (or a = w), F agrees with w
-    below d at best and then has a larger index or ends, and ending there
-    makes F a proper subset of w.  With w = 0, no searched witness yet, the
-    test fails for every nonempty a, so nothing is cut before a witness.
-    """
-    d = a ^ w
-    return not d or d & -d & w != 0
-
-
-def _exhaustive(pool: list[int], adj: list[int], out: list[int],
-                roots: Iterable[int], incumbent: _Incumbent,
-                deadline: float | None, use_pruning: bool) -> tuple[int, bool]:
+def _exhaustive(adj: list[int], out: list[int], roots: Iterable[int],
+                incumbent: _Incumbent, deadline: float | None,
+                use_pruning: bool) -> tuple[int, bool]:
     """Value each maximal feasible family R (a pool bitset) that the bounds
     leave open as min_a |R & out[a]| and offer it to the incumbent; return
     how many were valued and whether the deadline stopped the enumeration.
@@ -796,12 +795,12 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
     * anchor bound: min_a |(R | P) & out[a]| >= incumbent.value, since a
       minimum of member counts never decreases when members are added;
     * witness bound: when some anchor's count equals incumbent.value, no
-      family below can beat the incumbent, only tie it, and once a searched
-      witness W exists a tie matters only with a smaller key.  The pool is
-      in key order, so a family F within A = R | P has its i-th smallest
-      index at least A's; when the lowest index where A and W differ is in
-      W (or A = W), every such F is a proper subset of W, which is not
-      maximal, or has a key at least W's (`_keys_not_below`).
+      family below can beat the incumbent, only tie it, and a tie matters
+      only below the witness W (`incumbent.key`).  A family F within
+      A = R | P has its i-th smallest index at least A's, so when A is not
+      below W (`_key_below`: A = W, or W holds their lowest differing index
+      and A goes on past it), F is a proper subset of W, not maximal, or
+      has a key at least W's.
 
     Each child is tested before the call, so a cut child costs no call, and
     each call checks the deadline first, as each layered node does.
@@ -824,20 +823,18 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
     witness cannot change.
     """
     cliques = 0
-    wb = 0                              # the searched witness's pool bitset, or 0
     bounded = out if use_pruning else ()    # without pruning no bound cuts
 
     def expand(r: int, p: int, x: int) -> bool:
         """Search below (r, p, x); True once the deadline has passed."""
-        nonlocal cliques, wb
+        nonlocal cliques
         if deadline is not None and time.monotonic() >= deadline:
             return True
         if not p:                       # x is empty too: R is maximal
             cliques += 1
             value = min((r & o).bit_count() for o in out)
-            if value >= incumbent.value and incumbent.offer(
-                    value, [pool[i] for i in _bits(r)]):
-                wb = r
+            if value >= incumbent.value:
+                incumbent.offer(value, r)
             return False
         # any pivot is valid; a vertex of P is adjacent to at most |P| - 1
         most = p.bit_count() - 1
@@ -869,7 +866,8 @@ def _exhaustive(pool: list[int], adj: list[int], out: list[int],
                     break               # the anchor bound
                 tie = tie or c == value
             else:
-                if not (tie and _keys_not_below(a, wb)) and expand(r | vb, pc, xc):
+                if ((not tie or _key_below(a, incumbent.key))
+                        and expand(r | vb, pc, xc)):
                     return True
         return False
 
@@ -907,7 +905,7 @@ def maximize(objective: str, params: dict,
     # each engine refuses too many candidates before the seeds are built
     if restricted:
         engine = _LayeredDFS(obj, inst, options.use_pruning)
-        incumbent = _Incumbent(obj, inst)
+        incumbent = _Incumbent(obj, inst, engine.space)
         nodes, timed_out = engine.run(incumbent, deadline)
         # no count when the search stopped early or only the seed reached
         # the optimum
@@ -916,10 +914,10 @@ def maximize(objective: str, params: dict,
         reduction = obj.relation.reduction
     else:
         pool, out, adj = _pool(obj, inst)
-        incumbent = _Incumbent(obj, inst)
+        incumbent = _Incumbent(obj, inst, pool)
         roots = obj.roots(pool) if options.use_pruning else range(len(pool))
-        nodes, timed_out = _exhaustive(pool, adj, out, roots, incumbent,
-                                       deadline, options.use_pruning)
+        nodes, timed_out = _exhaustive(adj, out, roots, incumbent, deadline,
+                                       options.use_pruning)
         maximizers, proven, reduction = None, not timed_out, "none"
     return SearchCertificate(
         objective=objective, params=dict(params),

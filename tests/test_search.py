@@ -23,6 +23,7 @@ from katona import (
     near_base_overflow, overflow_even_of, overflow_odd_of, recheck, mask_of,
     search, triangle, verify_hilton, walk_gap_bound, walk_skip_bound,
 )
+from katona.core import mask_key
 from helpers import random_family, random_u_union_family
 
 
@@ -197,7 +198,7 @@ def test_layered_bitsets_match_their_definitions():
                     assert pool == sorted(
                         (mask_of(c) for k in obj.sizes(inst)
                          for c in combinations(range(1, n + 1), k)),
-                        key=search.mask_key), (obj, n, v)
+                        key=mask_key), (obj, n, v)
                     for i, a in enumerate(pool):
                         assert adj[i] == sum(
                             1 << j for j, b in enumerate(pool)
@@ -214,6 +215,7 @@ def test_layered_bitsets_match_their_definitions():
                 assert masks == [m for k in inst.levels + inst.free_levels
                                  for m in sorted(mask_of(c) for c in
                                                  combinations(range(1, n + 1), k))]
+                assert dfs.space == sorted(masks, key=mask_key), (obj, n, v)
                 for x in range(n):
                     assert dfs.has[x] == sum(
                         1 << i for i, m in enumerate(masks) if m >> x & 1)
@@ -533,13 +535,14 @@ def test_restricted_results_pinned(objective, params, optimum, maximizers, witne
 def test_layered_offers_the_evaluator_value(monkeypatch):
     # a leaf is offered with its count at the first anchor; on every leaf
     # that reaches the incumbent it equals `_min_outside`.  Both engines
-    # offer their members in canonical key order, which `offer` relies on
+    # offer a bitset over a space in canonical key order, and the witness
+    # is the offered family of the optimum value with the smallest key
     offered = []
     offer = search._Incumbent.offer
 
-    def spy(self, value, masks):
-        offered.append((value, list(masks)))
-        return offer(self, value, masks)
+    def spy(self, value, r):
+        offered.append((value, [self.space[i] for i in search._bits(r)]))
+        return offer(self, value, r)
     monkeypatch.setattr(search._Incumbent, "offer", spy)
     # the layered engine to n = 7; the exhaustive engine pruned to n = 6,
     # where (6,5) of the diameter objectives needs the time limit, and
@@ -551,10 +554,14 @@ def test_layered_offers_the_evaluator_value(monkeypatch):
         options = SearchOptions(time_limit, restrict_to_initial_complexes=restricted,
                                 use_pruning=pruning)
         for name, obj, params, inst in _instances(max_n):
-            maximize(name, params, options)
+            cert = maximize(name, params, options)
             for value, masks in offered:
-                assert masks == sorted(masks, key=search.mask_key), (name, inst)
+                assert masks == sorted(masks, key=mask_key), (name, inst)
                 assert value == search._min_outside(obj, inst, masks)[0], (name, inst)
+            best = [masks for value, masks in offered if value == cert.optimum]
+            if best:
+                assert list(cert.witness.members) == min(
+                    best, key=lambda masks: tuple(map(mask_key, masks))), (name, inst)
             total[restricted] += len(offered)
             offered.clear()
     assert total[True] > 500 and total[False] > 500
@@ -752,16 +759,32 @@ def test_exhaustive_pruning_does_not_change_results():
     assert runs >= 50 and fewer
 
 
+def _index_list(m):
+    """The ascending indices of the bitset m, a family's key over a space in
+    key order."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_key_below_is_the_order_of_the_index_lists():
+    # lexicographic order, but a proper extension of w is below w too; a
+    # searched family is never empty, so w = 0 stands for no witness yet,
+    # above every nonempty family
+    keys = [_index_list(m) for m in range(256)]
+    for a in range(256):
+        for w in range(256):
+            extends = a != w and keys[a][:len(keys[w])] == keys[w]
+            assert search._key_below(a, w) == (extends or keys[a] < keys[w]), (a, w)
+
+
 @given(st.integers(0, 255), st.integers(0, 255))
 def test_witness_bound_lemma(a, w):
-    # whenever the rule cuts, every F within a that is not a proper subset
-    # of w has an ascending index sequence (its key) at least w's
-    def key(m):
-        return [i for i in range(8) if m >> i & 1]
-    if search._keys_not_below(a, w):
+    # the witness bound cuts a tie at a node whose families lie within a
+    # when a is not below the witness w: then every F within a that is not
+    # a proper subset of w, so every maximal F, has a key at least w's
+    if not search._key_below(a, w):
         for f in range(256):
             if f & ~a == 0 and not (f & ~w == 0 and f != w):
-                assert key(f) >= key(w), (a, w, f)
+                assert _index_list(f) >= _index_list(w), (a, w, f)
 
 
 def _rooted_instances():
@@ -799,7 +822,7 @@ def test_roots_rest_on_a_symmetry(case, data):
             assert _compatible(obj, u, g(a), g(b)) == _compatible(obj, u, a, b)
         if all(_compatible(obj, u, a, b) for b in family + [a]):
             family.append(a)
-    image = sorted(map(g, family), key=search.mask_key)
+    image = sorted(map(g, family), key=mask_key)
     assert (search._min_outside(obj, inst, image)[0]
             == search._min_outside(obj, inst, family)[0])
 
@@ -934,11 +957,12 @@ def test_search_options_validation():
     assert SearchOptions(time_limit=0, workers=1).time_limit == 0
 
 
-def _committed_certificate(n, d):
-    """The committed overflow_even (n, d) certificate, proven and rechecked."""
-    path = Path(__file__).parent / "data" / f"overflow_even_{n}_{d}.json"
+def _committed_certificate(objective, **params):
+    """The committed certificate of objective at params, proven and rechecked."""
+    name = "_".join([objective, *map(str, params.values())])
+    path = Path(__file__).parent / "data" / f"{name}.json"
     cert = SearchCertificate.from_json_dict(json.loads(path.read_text()))
-    assert (cert.objective, cert.params) == ("overflow_even", {"n": n, "d": d})
+    assert (cert.objective, cert.params) == (objective, params)
     assert cert.proven_optimal and not cert.timed_out
     assert recheck(cert)
     return cert
@@ -947,7 +971,7 @@ def _committed_certificate(n, d):
 def test_overflow_even_10_4_certificate():
     # the d = 4 rung, proven in 851 175 nodes: the base-[4] family is not
     # optimal there, the base-[6] rung is
-    cert = _committed_certificate(10, 4)
+    cert = _committed_certificate("overflow_even", n=10, d=4)
     assert cert.nodes_explored == 851_175
     assert cert.optimum == 95 > d_even_overflow(10, 4) == 81
     assert cert.optimum == near_base_overflow(10, 4, 3)
@@ -956,9 +980,19 @@ def test_overflow_even_10_4_certificate():
 def test_overflow_even_11_4_certificate():
     # proven in 7 223 199 nodes; the witness is stored as hex masks.  The
     # optimum is the best near-base rung's overflow, the base-[6] rung's
-    cert = _committed_certificate(11, 4)
+    cert = _committed_certificate("overflow_even", n=11, d=4)
     assert cert.nodes_explored == 7_223_199
     assert cert.optimum == 117 == max(near_base_overflow(11, 4, s) for s in range(1, 5))
+
+
+def test_max_union_size_9_8_certificate():
+    # Katona's theorem at (9,8), proven in 638 247 nodes among 319 124
+    # maximizers, the witness stored as hex masks: the smallest key among
+    # them is the Katona family, the first 256 sets in key order
+    cert = _committed_certificate("max_union_size", n=9, u=8)
+    assert cert.optimum == 256 == katona_bound(9, 8)
+    assert (cert.maximizers, cert.nodes_explored) == (319_124, 638_247)
+    assert cert.witness.members == katona(9, 8).members
 
 
 def test_recheck_rejects_tampering():
