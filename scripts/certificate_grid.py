@@ -21,8 +21,9 @@ change that may move only node counts: it lists every record whose
 certificate differs in a field other than `nodes`, or that only one file
 holds, and exits 1 if there is any.  Records timed out in either file are
 skipped, and named and counted on stderr.  It also prints each file's
-total `nodes` and how many records moved theirs, so a change that moves
-the search tree reports it from this one command.  Grids written with
+total `nodes` over the records that both files finished, and how many of
+them moved theirs, so the totals move only when the search tree does, and
+a change that moves it reports it from this one command.  Grids written with
 `--unrestricted` are compared this way and never with `cmp`: two of their
 runs end near the time limit, the pruned `max_union_size` (7,6) and the
 unpruned `upper_layers` (7,6), so on a loaded host the same build times
@@ -108,11 +109,12 @@ def _nodes(record):
 
 def diff(old_path, new_path) -> int:
     """Print the records that differ other than in `nodes`, each file's
-    total `nodes` and the number of records whose `nodes` moved; 1 if any
-    record differs."""
+    total `nodes` over the records both files finished and the number of
+    those whose `nodes` moved; 1 if any record differs."""
     old, new = _keyed(old_path), _keyed(new_path)
     keys = sorted(old.keys() | new.keys())
     differ = skipped = moved = 0
+    totals = [0, 0]
     for key in keys:
         a, b = old.get(key), new.get(key)
         if a is not None and b is not None:
@@ -121,6 +123,8 @@ def diff(old_path, new_path) -> int:
                 print(f"skipped as timed out: {' '.join(key)}", file=sys.stderr)
                 continue
             moved += _nodes(a) != _nodes(b)
+            totals[0] += _nodes(a) or 0
+            totals[1] += _nodes(b) or 0
             a, b = _without_nodes(a), _without_nodes(b)
             if a == b:
                 continue
@@ -128,7 +132,6 @@ def diff(old_path, new_path) -> int:
         print(f"{' '.join(key)}: {a} -> {b}")
     print(f"{differ} of {len(keys)} records differ other than "
           f"in nodes ({skipped} skipped as timed out)", file=sys.stderr)
-    totals = [sum(_nodes(r) or 0 for r in f.values()) for f in (old, new)]
     print(f"nodes {totals[0]} -> {totals[1]}, {moved} records moved",
           file=sys.stderr)
     return 1 if differ else 0

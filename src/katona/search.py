@@ -595,8 +595,8 @@ class _LayeredDFS:
     `counted_candidates`; the bound counts every candidate.  `has[x]` is
     the bitset of the sets that contain element x, and `incompat[j]` the
     sets incompatible with candidate j, counted by `_incompat_rows` under
-    the union rule `_UNION.meet` on j's first inclusion: every family the
-    engine covers is u-union (`_Instance`).
+    the union rule `_UNION.meet`: every family the engine covers is
+    u-union (`_Instance`).
     `blocked` is the OR of `incompat` over the included members, so a set
     is compatible with all of them exactly when its bit is clear.  Each
     level has one cap, `caps0`: the complete intersection maximum of its
@@ -605,10 +605,10 @@ class _LayeredDFS:
     A candidate m = {a1 < ... < ak} needs its immediate predecessors and,
     above the lowest level, m minus a1: the levels are down-sets, and every
     other shadow member precedes that one.  Every need has a smaller index:
-    sliding an element down lowers the mask.
-    `ready` is the bitset of the candidates whose needs are all included;
-    including i counts down `missing` for the candidates in `deps[i]`
-    (built on i's first inclusion) and ORs in those that become ready.
+    sliding an element down lowers the mask.  Including i counts down
+    `missing` for the candidates in `deps[i]` and ORs those that become
+    ready into `avail`; `_tables` builds deps[i] and incompat[i] on i's
+    first inclusion.
 
     A node at pos branches on the first candidate j >= pos in `avail`, the
     ready candidates outside `blocked`: include j, then exclude it; either
@@ -620,14 +620,19 @@ class _LayeredDFS:
     is caps0[li] - count at `cl`, caps0[li] after it) and the caps of the
     levels after it, which hold no member.  A finished level's count is
     within its cap (`prune`), so b is the sum over levels of min(cap,
-    count + candidates left from pos), which never rises as pos grows: a
-    leaf (j = N) is its own check, and when prune(j) cuts the include
-    child, b(j + 1) <= b(j) cuts the exclude child too.  The stack has one
-    frame per included j: (j, then `count`, `blocked`, `avail` and alive_n
-    before j); the frames are the only record of the path, and a leaf
-    reads its members from them.  An exclude child shares its parent's
-    frame; unwinding pops a frame, restores its values, sets `cl` to j's
-    level, gives back j's `missing` counts and tries j's exclude child.
+    count + candidates left from pos), which never rises as pos grows.
+
+    Each turn of `run` enters a node or unwinds one frame.  When prune(pos)
+    leaves pos open, it counts the node, finds j, and values the leaf (j =
+    N, its own check) or, if prune(j) passes, includes j and goes on at
+    j + 1; b(j + 1) <= b(j), so a cut at j cuts the exclude child too.
+    Otherwise, and after a leaf or a cut, it pops a frame, gives back its
+    `missing` counts, sets `cl` to its level and goes on at its exclude
+    child, until the stack is empty.  The root is never cut: the seeds are
+    leaves, and b(0) bounds every leaf.  The stack has one frame per
+    included j: (j, then `count`, `blocked`, `avail` and alive_n before j);
+    the frames are the only record of the path, and a leaf reads its
+    members from them.  An exclude child shares its parent's frame.
     """
 
     def __init__(self, obj: Objective, inst: _Instance, use_pruning: bool):
@@ -645,6 +650,10 @@ class _LayeredDFS:
         self.level_of = [li for li, k in enumerate(levels) for _ in range(comb(n, k))]
         # layer k is t-intersecting, t = 2k - u (`prune`)
         self.caps0 = [complete_intersection_bound(n, k, 2 * k - inst.u) for k in levels]
+        # pos's level (N's is the last), and the constant that the levels
+        # after a level add: their caps, never above their sizes
+        self.level_at = self.level_of + [len(levels) - 1]
+        self.tail = [sum(self.caps0[li + 1:]) for li in range(len(levels))]
         # the immediate predecessors, plus one shadow member above the lowest level
         self.missing0 = [(m & ~(m << 1) & ~1).bit_count() + (m.bit_count() > levels[0])
                          for m in self.masks[:self.N]]
@@ -659,10 +668,11 @@ class _LayeredDFS:
         self.incompat: list[int | None] = [None] * self.N
         self.incompat_row = _incompat_rows(_UNION.meet, inst.u, self.has, spans)
 
-    def _deps(self, j: int) -> list[int]:
-        """Build deps[j], the candidates that need candidate j: its immediate
-        successors (one element slides up one slot) and the supersets one
-        level up whose lowest element is new."""
+    def _tables(self, j: int) -> None:
+        """Build candidate j's two tables on its first inclusion: incompat[j]
+        (`_incompat_rows`) and deps[j], the candidates that need j: its
+        immediate successors (one element slides up one slot) and the
+        supersets one level up whose lowest element is new."""
         m, index = self.masks[j], self.index
         full = (1 << self.inst.n) - 1
         # x in m, x + 1 in [n] but not in m: x moves to x + 1
@@ -670,19 +680,15 @@ class _LayeredDFS:
         if self.level_of[j] + 1 < len(self.ends):
             out += [index[m | 1 << x] for x in _bits((m & -m) - 1)]
         self.deps[j] = out
-        return out
+        self.incompat[j] = self.incompat_row(m)
 
     def run(self, incumbent: _Incumbent, deadline: float | None) -> tuple[int, bool]:
         """Offer every leaf the bounds leave open to the incumbent; return
         the nodes entered and whether the deadline stopped the search."""
         N, masks, level_of, free = self.N, self.masks, self.level_of, self.free
         deps, incompat, counted = self.deps, self.incompat, self.counted
-        use_pruning, ends = self.use_pruning, self.ends
-        counted_candidates, caps0 = self.counted_candidates, self.caps0
-        # pos's level (N's is the last), and the constant that the levels
-        # after a level add: their caps, never above their sizes
-        level_at = level_of + [len(ends) - 1]
-        tail = [sum(caps0[li + 1:]) for li in range(len(ends))]
+        use_pruning, ends, level_at = self.use_pruning, self.ends, self.level_at
+        counted_candidates, caps0, tail = self.counted_candidates, self.caps0, self.tail
         cl = count = 0                     # the branch level and its members
         missing = list(self.missing0)
         blocked = 0                        # sets incompatible with an included member
@@ -708,56 +714,47 @@ class _LayeredDFS:
 
         nodes = pos = 0
         while True:
-            # enter the node at pos, unless the deadline has passed
-            if deadline is not None and time.monotonic() >= deadline:
-                return nodes, True
-            nodes += 1
-            open_ = avail >> pos
-            j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
-            if j < N and level_of[j] != cl:    # a later level starts afresh
-                cl, count = level_of[j], 0
-            if j == N and len(stack) + alive_n >= incumbent.value:
-                # a leaf: the free sets outside `blocked` and its members, one
-                # per frame, rotated so that the free sets come first
-                chosen = sum(1 << f[0] for f in stack)
-                value = alive_n + (chosen & counted_candidates).bit_count()
-                if value >= incumbent.value:
-                    incumbent.offer(value, (free & ~blocked) >> N
-                                    | chosen << len(masks) - N)
-            elif j < N and not prune(j):
-                # include j; when prune(j) cuts it, b(j + 1) <= b(j)
-                # cuts the exclude child too
-                newly = 0
-                dj = deps[j]
-                if dj is None:
-                    dj = self._deps(j)
-                for t in dj:
-                    missing[t] -= 1
-                    if not missing[t]:
-                        newly |= 1 << t
-                stack.append((j, count, blocked, avail, alive_n))
-                inc = incompat[j]
-                if inc is None:
-                    inc = incompat[j] = self.incompat_row(masks[j])
-                blocked |= inc
-                unblocked = ~blocked
-                avail = (avail | newly) & unblocked
-                alive_n = (counted & unblocked).bit_count()
-                count += 1
-                if not prune(j + 1):
+            if not prune(pos):
+                # enter the node at pos, unless the deadline has passed
+                if deadline is not None and time.monotonic() >= deadline:
+                    return nodes, True
+                nodes += 1
+                open_ = avail >> pos
+                j = pos + (open_ & -open_).bit_length() - 1 if open_ else N
+                if j < N and level_of[j] != cl:    # a later level starts afresh
+                    cl, count = level_of[j], 0
+                if j == N and len(stack) + alive_n >= incumbent.value:
+                    # a leaf: the free sets outside `blocked` and its members,
+                    # one per frame, rotated so that the free sets come first
+                    chosen = sum(1 << f[0] for f in stack)
+                    value = alive_n + (chosen & counted_candidates).bit_count()
+                    if value >= incumbent.value:
+                        incumbent.offer(value, (free & ~blocked) >> N
+                                        | chosen << len(masks) - N)
+                elif j < N and not prune(j):
+                    # include j
+                    if deps[j] is None:
+                        self._tables(j)
+                    newly = 0
+                    for t in deps[j]:
+                        missing[t] -= 1
+                        if not missing[t]:
+                            newly |= 1 << t
+                    stack.append((j, count, blocked, avail, alive_n))
+                    blocked |= incompat[j]
+                    unblocked = ~blocked
+                    avail = (avail | newly) & unblocked
+                    alive_n = (counted & unblocked).bit_count()
+                    count += 1
                     pos = j + 1
                     continue
-            # unwind to the first included j whose exclude child is open
-            while stack:
-                j, count, blocked, avail, alive_n = stack.pop()
-                for t in deps[j]:
-                    missing[t] += 1
-                cl = level_of[j]
-                if not prune(j + 1):
-                    break
-            else:
+            # unwind one frame and go on at its exclude child
+            if not stack:
                 return nodes, False
-            pos = j + 1
+            j, count, blocked, avail, alive_n = stack.pop()
+            for t in deps[j]:
+                missing[t] += 1
+            cl, pos = level_of[j], j + 1
 
 
 # ---------------------------------------------------------------------------

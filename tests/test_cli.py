@@ -9,7 +9,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from katona import b_family, binom, family_from_json, katona, maximize
+from katona import b_family, binom, bounds, cli, family_from_json, katona, maximize
 from katona.cli import _BOUNDS, _PREDICATES, _SUITES, _TRANSFORMS, _WALKS, run
 from katona.constructions import CONSTRUCTIONS
 from katona.search import OBJECTIVES
@@ -235,6 +235,28 @@ def test_search_modes(capsys):
 def test_verify_suite(capsys, suite):
     code, obj = run_json(capsys, ["verify", "--suite", suite])
     assert code == 0 and obj["holds"] is True and obj["violations"] == []
+
+
+# for each suite, one fact it checks and how to make that fact false
+_BROKEN_FACTS = {
+    "hilton": (bounds, "verify_hilton",
+               lambda f: lambda *a: dataclasses.replace(f(*a), holds=False)),
+    "facts": (cli, "is_t_intersecting", lambda f: lambda *a: False),
+    "sperner": (bounds, "shadow_bound_check",
+                lambda f: lambda *a: dataclasses.replace(f(*a), holds=False)),
+    "reflection": (cli, "reflection_count", lambda f: lambda *a: f(*a) + 1),
+    "katona-small": (bounds, "katona_bound", lambda f: lambda *a: f(*a) + 1),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_verify_suite_reports_violations(capsys, monkeypatch, suite):
+    # a suite whose fact fails exits 1 with at most 20 of its violations
+    module, name, breaking = _BROKEN_FACTS[suite]
+    monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+    code, obj = run_json(capsys, ["verify", "--suite", suite])
+    assert code == 1 and obj["holds"] is False, obj
+    assert 1 <= len(obj["violations"]) <= 20, obj
 
 
 def test_usage_and_cap_exit_codes(capsys, tmp_path):

@@ -327,13 +327,16 @@ def test_needs_are_predecessors_and_one_shadow_member():
     # a candidate m needs its immediate predecessors (one element slides
     # down one slot) and, above the lowest level, m minus its lowest
     # element: the other shadow members precede that one coordinatewise,
-    # and every level is a down-set.  `missing0` counts the needs and
-    # `_deps(j)` lists the candidates that need j
+    # and every level is a down-set.  `missing0` counts the needs, and
+    # `_tables(j)` lists the candidates that need j in deps[j], with j's
+    # incompatibility row in incompat[j]
     for name, obj, _, inst in _instances(8):
         dfs = search._LayeredDFS(obj, inst, True)
         needs = [[] for _ in range(dfs.N)]
         for j in range(dfs.N):
-            for t in dfs._deps(j):
+            dfs._tables(j)
+            assert dfs.incompat[j] == dfs.incompat_row(dfs.masks[j]), (name, j)
+            for t in dfs.deps[j]:
                 needs[t].append(j)
         for t, m in enumerate(dfs.masks[:dfs.N]):
             want = [m ^ 3 << x - 1 for x in range(1, inst.n)
@@ -346,6 +349,18 @@ def test_needs_are_predecessors_and_one_shadow_member():
         # only [k], the first candidate, has no needs: the search starts
         # with it alone ready
         assert [t for t, c in enumerate(dfs.missing0) if not c] == [0], name
+
+
+def test_root_bound_covers_the_seed():
+    # the traversal tests b(pos) before it enters pos, the root included,
+    # so b(0) must reach the seed value: the seeds are u-union initial
+    # complexes, leaves of the search, and b(0) bounds every leaf
+    for name, obj, _, inst in _instances(8):
+        dfs = search._LayeredDFS(obj, inst, True)
+        seed = search._Incumbent(obj, inst, dfs.space).value
+        b0 = (dfs.counted.bit_count() + min(dfs.caps0[0], dfs.ends[0])
+              + dfs.tail[0])
+        assert b0 >= seed, (name, inst)
 
 
 def test_layer_caps_are_layer_bound():
